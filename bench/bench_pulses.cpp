@@ -14,6 +14,7 @@
 
 #include "BenchCommon.h"
 
+#include "qasm/Parser.h"
 #include "qasm/Printer.h"
 
 #include <benchmark/benchmark.h>
@@ -109,6 +110,44 @@ BENCHMARK(BM_WeaverShuttleEmission)
     ->Arg(250)
     ->UseManualTime()
     ->Complexity(benchmark::oN);
+
+/// The wQASM text layers on their own, over the compiled program of one
+/// formula: printing it into one buffer, and parsing that text back
+/// through the view-token lexer. Bytes processed are the printed text, so
+/// the JSON archives each layer's MB/s.
+void BM_PrintWqasm(benchmark::State &State) {
+  auto W = core::compileWeaver(
+      sat::satlibInstance(static_cast<int>(State.range(0)), 1),
+      core::WeaverOptions());
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::string Text = qasm::printWqasm(W->Program);
+    Bytes = Text.size();
+    benchmark::DoNotOptimize(Text.data());
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations() * Bytes));
+  State.counters["wqasm_bytes"] = static_cast<double>(Bytes);
+}
+BENCHMARK(BM_PrintWqasm)->Arg(250);
+
+void BM_ParseWqasm(benchmark::State &State) {
+  auto W = core::compileWeaver(
+      sat::satlibInstance(static_cast<int>(State.range(0)), 1),
+      core::WeaverOptions());
+  const std::string Text = qasm::printWqasm(W->Program);
+  for (auto _ : State) {
+    auto P = qasm::parseWqasm(Text);
+    if (!P) {
+      State.SkipWithError(P.message().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(P->Statements.data());
+  }
+  State.SetBytesProcessed(
+      static_cast<int64_t>(State.iterations() * Text.size()));
+  State.counters["wqasm_bytes"] = static_cast<double>(Text.size());
+}
+BENCHMARK(BM_ParseWqasm)->Arg(250);
 
 } // namespace
 

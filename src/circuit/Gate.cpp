@@ -130,20 +130,26 @@ bool circuit::parseGateName(std::string_view Name, GateKind &Kind) {
   return false;
 }
 
-std::string Gate::str() const {
-  std::string Out(gateName(Kind));
+void Gate::appendTo(std::string &Out) const {
+  Out += gateName(Kind);
   if (numParams() > 0) {
-    Out += "(";
+    Out += '(';
     for (unsigned I = 0, E = numParams(); I < E; ++I) {
       if (I)
         Out += ", ";
-      Out += formatDouble(ParamStorage[I]);
+      appendDouble(Out, ParamStorage[I]);
     }
-    Out += ")";
+    Out += ')';
   }
   for (unsigned I = 0, E = numQubits(); I < E; ++I) {
-    Out += I ? ", " : " ";
-    Out += "q[" + std::to_string(QubitStorage[I]) + "]";
+    Out += I ? ", q[" : " q[";
+    appendInt(Out, QubitStorage[I]);
+    Out += ']';
   }
+}
+
+std::string Gate::str() const {
+  std::string Out;
+  appendTo(Out);
   return Out;
 }

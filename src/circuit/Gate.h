@@ -145,7 +145,11 @@ public:
     return false;
   }
 
-  /// Renders "cz q[0], q[1]"-style text for diagnostics.
+  /// Appends "cz q[0], q[1]"-style text (the OpenQASM 3 statement without
+  /// its ';') to \p Out.
+  void appendTo(std::string &Out) const;
+
+  /// Returns appendTo's text, e.g. for diagnostics.
   std::string str() const;
 
 private:

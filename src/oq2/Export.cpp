@@ -15,17 +15,25 @@ std::string oq2::printOpenQasm2(const Circuit &C) {
   std::string Out;
   Out += "OPENQASM 2.0;\n";
   Out += "include \"qelib1.inc\";\n";
-  Out += "qreg q[" + std::to_string(C.numQubits()) + "];\n";
-  if (C.count(GateKind::Measure) > 0)
-    Out += "creg c[" + std::to_string(C.numQubits()) + "];\n";
+  Out += "qreg q[";
+  appendInt(Out, C.numQubits());
+  Out += "];\n";
+  if (C.count(GateKind::Measure) > 0) {
+    Out += "creg c[";
+    appendInt(Out, C.numQubits());
+    Out += "];\n";
+  }
   for (const Gate &G : C) {
     if (G.kind() == GateKind::Barrier) {
       Out += "barrier q;\n";
       continue;
     }
     if (G.kind() == GateKind::Measure) {
-      std::string Q = std::to_string(G.qubit(0));
-      Out += "measure q[" + Q + "] -> c[" + Q + "];\n";
+      Out += "measure q[";
+      appendInt(Out, G.qubit(0));
+      Out += "] -> c[";
+      appendInt(Out, G.qubit(0));
+      Out += "];\n";
       continue;
     }
     Out += gateName(G.kind());
@@ -34,13 +42,14 @@ std::string oq2::printOpenQasm2(const Circuit &C) {
       for (unsigned I = 0, E = G.numParams(); I < E; ++I) {
         if (I)
           Out += ",";
-        Out += formatDouble(G.param(I));
+        appendDouble(Out, G.param(I));
       }
       Out += ")";
     }
     for (unsigned I = 0, E = G.numQubits(); I < E; ++I) {
-      Out += I ? "," : " ";
-      Out += "q[" + std::to_string(G.qubit(I)) + "]";
+      Out += I ? ",q[" : " q[";
+      appendInt(Out, G.qubit(I));
+      Out += ']';
     }
     Out += ";\n";
   }

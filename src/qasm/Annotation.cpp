@@ -33,76 +33,112 @@ const char *qasm::annotationKindName(AnnotationKind Kind) {
   return "";
 }
 
-std::string Annotation::str() const {
-  std::string Out = "@";
+namespace {
+
+void appendQubit(std::string &Out, int Qubit) {
+  Out += "q[";
+  appendInt(Out, Qubit);
+  Out += ']';
+}
+
+void appendValue(std::string &Out, int Value) { appendInt(Out, Value); }
+void appendValue(std::string &Out, double Value) { appendDouble(Out, Value); }
+
+/// Appends "[v0, v1, ...]".
+template <typename T>
+void appendList(std::string &Out, const std::vector<T> &Vals) {
+  Out += '[';
+  for (size_t I = 0; I < Vals.size(); ++I) {
+    if (I)
+      Out += ", ";
+    appendValue(Out, Vals[I]);
+  }
+  Out += ']';
+}
+
+void appendAngles(std::string &Out, double X, double Y, double Z) {
+  appendDouble(Out, X);
+  Out += ' ';
+  appendDouble(Out, Y);
+  Out += ' ';
+  appendDouble(Out, Z);
+}
+
+} // namespace
+
+void Annotation::appendTo(std::string &Out) const {
+  Out += '@';
   Out += annotationKindName(Kind);
   switch (Kind) {
-  case AnnotationKind::Slm: {
+  case AnnotationKind::Slm:
     Out += " [";
     for (size_t I = 0; I < TrapPositions.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += "(" + formatDouble(TrapPositions[I].X) + ", " +
-             formatDouble(TrapPositions[I].Y) + ")";
+      Out += I ? ", (" : "(";
+      appendDouble(Out, TrapPositions[I].X);
+      Out += ", ";
+      appendDouble(Out, TrapPositions[I].Y);
+      Out += ')';
     }
-    Out += "]";
+    Out += ']';
     break;
-  }
-  case AnnotationKind::Aod: {
-    auto RenderList = [](const std::vector<double> &Vals) {
-      std::string S = "[";
-      for (size_t I = 0; I < Vals.size(); ++I) {
-        if (I)
-          S += ", ";
-        S += formatDouble(Vals[I]);
-      }
-      return S + "]";
-    };
-    Out += " " + RenderList(AodXs) + " " + RenderList(AodYs);
+  case AnnotationKind::Aod:
+    Out += ' ';
+    appendList(Out, AodXs);
+    Out += ' ';
+    appendList(Out, AodYs);
     break;
-  }
   case AnnotationKind::Bind:
-    Out += " q[" + std::to_string(Qubit) + "]";
-    if (BindToSlm)
-      Out += " slm " + std::to_string(SlmIndex);
-    else
-      Out += " aod " + std::to_string(AodCol) + " " + std::to_string(AodRow);
+    Out += ' ';
+    appendQubit(Out, Qubit);
+    if (BindToSlm) {
+      Out += " slm ";
+      appendInt(Out, SlmIndex);
+    } else {
+      Out += " aod ";
+      appendInt(Out, AodCol);
+      Out += ' ';
+      appendInt(Out, AodRow);
+    }
     break;
   case AnnotationKind::Transfer:
-    Out += " " + std::to_string(SlmIndex) + " (" + std::to_string(AodCol) +
-           ", " + std::to_string(AodRow) + ")";
+    Out += ' ';
+    appendInt(Out, SlmIndex);
+    Out += " (";
+    appendInt(Out, AodCol);
+    Out += ", ";
+    appendInt(Out, AodRow);
+    Out += ')';
     break;
   case AnnotationKind::Shuttle:
-    Out += std::string(" ") + (ShuttleRow ? "row" : "column") + " " +
-           std::to_string(ShuttleIndex) + " " + formatDouble(Offset);
+    Out += ShuttleRow ? " row " : " column ";
+    appendInt(Out, ShuttleIndex);
+    Out += ' ';
+    appendDouble(Out, Offset);
     break;
-  case AnnotationKind::ShuttleParallel: {
-    Out += std::string(" ") + (ShuttleRow ? "rows" : "columns") + " [";
-    for (size_t I = 0; I < ShuttleIndices.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += std::to_string(ShuttleIndices[I]);
-    }
-    Out += "] [";
-    for (size_t I = 0; I < ShuttleOffsets.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += formatDouble(ShuttleOffsets[I]);
-    }
-    Out += "]";
+  case AnnotationKind::ShuttleParallel:
+    Out += ShuttleRow ? " rows " : " columns ";
+    appendList(Out, ShuttleIndices);
+    Out += ' ';
+    appendList(Out, ShuttleOffsets);
     break;
-  }
   case AnnotationKind::RamanGlobal:
-    Out += " global " + formatDouble(AngleX) + " " + formatDouble(AngleY) +
-           " " + formatDouble(AngleZ);
+    Out += " global ";
+    appendAngles(Out, AngleX, AngleY, AngleZ);
     break;
   case AnnotationKind::RamanLocal:
-    Out += " local q[" + std::to_string(Qubit) + "] " + formatDouble(AngleX) +
-           " " + formatDouble(AngleY) + " " + formatDouble(AngleZ);
+    Out += " local ";
+    appendQubit(Out, Qubit);
+    Out += ' ';
+    appendAngles(Out, AngleX, AngleY, AngleZ);
     break;
   case AnnotationKind::Rydberg:
     break;
   }
+}
+
+std::string Annotation::str() const {
+  std::string Out;
+  appendTo(Out);
   return Out;
 }
 

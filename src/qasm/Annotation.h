@@ -104,7 +104,11 @@ struct Annotation {
   double AngleY = 0;
   double AngleZ = 0;
 
-  /// Renders the annotation in the concrete syntax above.
+  /// Appends the annotation in the concrete syntax above (no newline) to
+  /// \p Out.
+  void appendTo(std::string &Out) const;
+
+  /// Returns appendTo's text.
   std::string str() const;
 
   // --- Named constructors for each form -------------------------------

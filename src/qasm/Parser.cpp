@@ -8,6 +8,9 @@
 
 #include "qasm/Lexer.h"
 
+#include <array>
+#include <climits>
+#include <cmath>
 #include <map>
 
 using namespace weaver;
@@ -19,29 +22,40 @@ namespace {
 
 constexpr double Pi = 3.14159265358979323846;
 
-/// Recursive-descent parser over the token stream. All parse* methods
-/// return false after recording an error in ErrorMessage.
+/// Recursive-descent parser pulling tokens from a Lexer with one token of
+/// lookahead. All parse* methods return false after recording an error in
+/// ErrorMessage.
 class Parser {
 public:
-  explicit Parser(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {}
+  explicit Parser(std::string_view Source) : Lex(Source), Cur(Lex.next()) {}
 
   Expected<WqasmProgram> run();
 
 private:
-  const Token &peek() const { return Tokens[Pos]; }
-  const Token &advance() { return Tokens[Pos++]; }
+  const Token &peek() const { return Cur; }
+  Token advance() {
+    Token T = Cur;
+    Cur = Lex.next();
+    return T;
+  }
 
+  /// Records \p Message against the lookahead token's line. A lexical
+  /// error in the lookahead token reports the lexer's diagnostic instead:
+  /// no production accepts an Error token, so it always ends up here.
   bool fail(const std::string &Message) {
     if (ErrorMessage.empty())
-      ErrorMessage =
-          "line " + std::to_string(peek().Line) + ": " + Message;
+      ErrorMessage = Cur.is(TokenKind::Error)
+                         ? Lex.error()
+                         : "line " + std::to_string(Cur.Line) + ": " + Message;
     return false;
   }
 
+  /// "found 'x'" text for diagnostics.
+  std::string found() const { return "found '" + std::string(Cur.Text) + "'"; }
+
   bool expectPunct(char C) {
     if (!peek().isPunct(C))
-      return fail(std::string("expected '") + C + "', found '" + peek().Text +
-                  "'");
+      return fail(std::string("expected '") + C + "', " + found());
     advance();
     return true;
   }
@@ -50,7 +64,7 @@ private:
   bool parseVersion();
   bool parseInclude();
   bool parseRegisterDecl(bool Quantum, bool Qasm3Style);
-  bool parseGateCall(const std::string &Name);
+  bool parseGateCall(std::string_view Name);
   bool parseMeasure();
   bool parseBarrier();
   bool parseAnnotation();
@@ -67,12 +81,13 @@ private:
   bool parseParamFactor(double &Out);
 
   /// Registers: name -> (flat offset, size). Quantum and classical live in
-  /// separate maps.
-  std::map<std::string, std::pair<int, int>> QuantumRegs;
-  std::map<std::string, std::pair<int, int>> ClassicalRegs;
+  /// separate maps, both searchable by string_view.
+  using RegisterMap = std::map<std::string, std::pair<int, int>, std::less<>>;
+  RegisterMap QuantumRegs;
+  RegisterMap ClassicalRegs;
 
-  std::vector<Token> Tokens;
-  size_t Pos = 0;
+  Lexer Lex;
+  Token Cur;
   WqasmProgram Program;
   std::vector<Annotation> PendingAnnotations;
   std::string ErrorMessage;
@@ -91,7 +106,7 @@ bool Parser::parseStatement() {
   if (T.is(TokenKind::Annotation))
     return parseAnnotation();
   if (!T.is(TokenKind::Identifier))
-    return fail("expected statement, found '" + T.Text + "'");
+    return fail("expected statement, " + found());
   if (T.Text == "OPENQASM" || T.Text == "OpenQASM")
     return parseVersion();
   if (T.Text == "include")
@@ -108,15 +123,14 @@ bool Parser::parseStatement() {
     return parseMeasure();
   if (T.Text == "barrier")
     return parseBarrier();
-  std::string Name = advance().Text;
-  return parseGateCall(Name);
+  return parseGateCall(advance().Text);
 }
 
 bool Parser::parseVersion() {
   advance(); // OPENQASM
   if (!peek().is(TokenKind::Number))
     return fail("expected version number after OPENQASM");
-  Program.Version = advance().Text;
+  Program.Version = std::string(advance().Text);
   return expectPunct(';');
 }
 
@@ -130,7 +144,7 @@ bool Parser::parseInclude() {
 
 bool Parser::parseRegisterDecl(bool Quantum, bool Qasm3Style) {
   advance(); // keyword
-  std::string Name;
+  std::string_view Name;
   int Size = 1;
   if (Qasm3Style) {
     // qubit[5] q;
@@ -161,16 +175,28 @@ bool Parser::parseRegisterDecl(bool Quantum, bool Qasm3Style) {
     return fail("register size must be positive");
   auto &Map = Quantum ? QuantumRegs : ClassicalRegs;
   int &Total = Quantum ? Program.NumQubits : Program.NumBits;
-  if (!Map.emplace(Name, std::make_pair(Total, Size)).second)
-    return fail("redeclaration of register '" + Name + "'");
+  if (Size > INT_MAX - Total)
+    return fail("register '" + std::string(Name) +
+                "' overflows the total register size");
+  if (!Map.emplace(std::string(Name), std::make_pair(Total, Size)).second)
+    return fail("redeclaration of register '" + std::string(Name) + "'");
   Total += Size;
   return expectPunct(';');
 }
 
+// A numeral used as an index or size must be integral and fit in an int;
+// truncating "1.9" or wrapping "3000000000" would silently change the
+// program.
 bool Parser::parseInt(int &Out) {
   if (!peek().is(TokenKind::Number))
-    return fail("expected integer, found '" + peek().Text + "'");
-  Out = static_cast<int>(advance().NumberValue);
+    return fail("expected integer, " + found());
+  double V = peek().NumberValue;
+  if (V != std::trunc(V))
+    return fail("expected integer, " + found());
+  if (V > INT_MAX)
+    return fail("integer out of range, " + found());
+  Out = static_cast<int>(V);
+  advance();
   return true;
 }
 
@@ -181,7 +207,7 @@ bool Parser::parseSignedNumber(double &Out) {
       Sign = -Sign;
   }
   if (!peek().is(TokenKind::Number))
-    return fail("expected number, found '" + peek().Text + "'");
+    return fail("expected number, " + found());
   Out = Sign * advance().NumberValue;
   return true;
 }
@@ -221,10 +247,10 @@ bool Parser::parseNumberList(std::vector<double> &Out) {
 bool Parser::parseQubitRef(int &FlatIndex) {
   if (!peek().is(TokenKind::Identifier))
     return fail("expected qubit reference");
-  std::string Name = advance().Text;
+  std::string_view Name = advance().Text;
   auto It = QuantumRegs.find(Name);
   if (It == QuantumRegs.end())
-    return fail("unknown quantum register '" + Name + "'");
+    return fail("unknown quantum register '" + std::string(Name) + "'");
   int Offset = It->second.first, Size = It->second.second;
   if (peek().isPunct('[')) {
     advance();
@@ -234,12 +260,14 @@ bool Parser::parseQubitRef(int &FlatIndex) {
     if (!expectPunct(']'))
       return false;
     if (Index < 0 || Index >= Size)
-      return fail("qubit index out of range for register '" + Name + "'");
+      return fail("qubit index out of range for register '" +
+                  std::string(Name) + "'");
     FlatIndex = Offset + Index;
     return true;
   }
   if (Size != 1)
-    return fail("unindexed reference to multi-qubit register '" + Name + "'");
+    return fail("unindexed reference to multi-qubit register '" +
+                std::string(Name) + "'");
   FlatIndex = Offset;
   return true;
 }
@@ -247,10 +275,10 @@ bool Parser::parseQubitRef(int &FlatIndex) {
 bool Parser::parseBitRef(int &FlatIndex) {
   if (!peek().is(TokenKind::Identifier))
     return fail("expected bit reference");
-  std::string Name = advance().Text;
+  std::string_view Name = advance().Text;
   auto It = ClassicalRegs.find(Name);
   if (It == ClassicalRegs.end())
-    return fail("unknown classical register '" + Name + "'");
+    return fail("unknown classical register '" + std::string(Name) + "'");
   int Offset = It->second.first, Size = It->second.second;
   if (peek().isPunct('[')) {
     advance();
@@ -260,12 +288,14 @@ bool Parser::parseBitRef(int &FlatIndex) {
     if (!expectPunct(']'))
       return false;
     if (Index < 0 || Index >= Size)
-      return fail("bit index out of range for register '" + Name + "'");
+      return fail("bit index out of range for register '" + std::string(Name) +
+                  "'");
     FlatIndex = Offset + Index;
     return true;
   }
   if (Size != 1)
-    return fail("unindexed reference to multi-bit register '" + Name + "'");
+    return fail("unindexed reference to multi-bit register '" +
+                std::string(Name) + "'");
   FlatIndex = Offset;
   return true;
 }
@@ -325,15 +355,18 @@ bool Parser::parseParamFactor(double &Out) {
       return false;
     return expectPunct(')');
   }
-  return fail("expected parameter expression, found '" + peek().Text + "'");
+  return fail("expected parameter expression, " + found());
 }
 
-bool Parser::parseGateCall(const std::string &Name) {
+bool Parser::parseGateCall(std::string_view Name) {
   GateKind Kind;
   if (!circuit::parseGateName(Name, Kind))
-    return fail("unknown gate '" + Name + "'");
+    return fail("unknown gate '" + std::string(Name) + "'");
 
-  std::vector<double> Params;
+  // Operands go straight into the gate's fixed storage; the counts keep
+  // running past it so an over-long list is still reported by its length.
+  std::array<double, 3> Params = {0.0, 0.0, 0.0};
+  size_t NumParams = 0;
   if (peek().isPunct('(')) {
     advance();
     if (!peek().isPunct(')')) {
@@ -341,7 +374,9 @@ bool Parser::parseGateCall(const std::string &Name) {
         double Value;
         if (!parseParamExpr(Value))
           return false;
-        Params.push_back(Value);
+        if (NumParams < Params.size())
+          Params[NumParams] = Value;
+        ++NumParams;
         if (!peek().isPunct(','))
           break;
         advance();
@@ -350,50 +385,38 @@ bool Parser::parseGateCall(const std::string &Name) {
     if (!expectPunct(')'))
       return false;
   }
-  if (Params.size() != circuit::gateNumParams(Kind))
-    return fail("gate '" + Name + "' expects " +
+  if (NumParams != circuit::gateNumParams(Kind))
+    return fail("gate '" + std::string(Name) + "' expects " +
                 std::to_string(circuit::gateNumParams(Kind)) +
-                " parameter(s), got " + std::to_string(Params.size()));
+                " parameter(s), got " + std::to_string(NumParams));
 
-  std::vector<int> Qubits;
+  std::array<int, 3> Qubits = {0, 0, 0};
+  size_t NumQubits = 0;
   for (;;) {
     int Q;
     if (!parseQubitRef(Q))
       return false;
-    Qubits.push_back(Q);
+    if (NumQubits < Qubits.size())
+      Qubits[NumQubits] = Q;
+    ++NumQubits;
     if (!peek().isPunct(','))
       break;
     advance();
   }
   if (!expectPunct(';'))
     return false;
-  if (Qubits.size() != circuit::gateArity(Kind))
-    return fail("gate '" + Name + "' expects " +
+  if (NumQubits != circuit::gateArity(Kind))
+    return fail("gate '" + std::string(Name) + "' expects " +
                 std::to_string(circuit::gateArity(Kind)) + " qubit(s), got " +
-                std::to_string(Qubits.size()));
-  for (size_t I = 0; I < Qubits.size(); ++I)
-    for (size_t J = I + 1; J < Qubits.size(); ++J)
+                std::to_string(NumQubits));
+  for (size_t I = 0; I < NumQubits; ++I)
+    for (size_t J = I + 1; J < NumQubits; ++J)
       if (Qubits[I] == Qubits[J])
-        return fail("duplicate qubit operand in gate '" + Name + "'");
+        return fail("duplicate qubit operand in gate '" + std::string(Name) +
+                    "'");
 
   GateStatement Stmt;
-  switch (Qubits.size()) {
-  case 1:
-    Stmt.Gate = Params.empty() ? Gate(Kind, {Qubits[0]})
-                : Params.size() == 1
-                    ? Gate(Kind, {Qubits[0]}, {Params[0]})
-                    : Gate(Kind, {Qubits[0]}, {Params[0], Params[1], Params[2]});
-    break;
-  case 2:
-    Stmt.Gate = Params.empty() ? Gate(Kind, {Qubits[0], Qubits[1]})
-                               : Gate(Kind, {Qubits[0], Qubits[1]}, {Params[0]});
-    break;
-  case 3:
-    Stmt.Gate = Gate(Kind, {Qubits[0], Qubits[1], Qubits[2]});
-    break;
-  default:
-    return fail("unsupported operand count");
-  }
+  Stmt.Gate = Gate::fromStorage(Kind, Qubits, Params);
   Stmt.Annotations = std::move(PendingAnnotations);
   PendingAnnotations.clear();
   Program.Statements.push_back(std::move(Stmt));
@@ -443,7 +466,7 @@ bool Parser::parseBarrier() {
 }
 
 bool Parser::parseAnnotation() {
-  std::string Keyword = advance().Text;
+  std::string_view Keyword = advance().Text;
   Annotation A;
   if (Keyword == "slm") {
     if (!expectPunct('['))
@@ -558,28 +581,22 @@ bool Parser::parseAnnotation() {
   } else if (Keyword == "rydberg") {
     A = Annotation::rydberg();
   } else {
-    return fail("unknown annotation '@" + Keyword + "'");
+    return fail("unknown annotation '@" + std::string(Keyword) + "'");
   }
   PendingAnnotations.push_back(std::move(A));
   return true;
 }
 
 bool Parser::parseQubitRefOrIndex(int &FlatIndex) {
-  if (peek().is(TokenKind::Number)) {
-    FlatIndex = static_cast<int>(advance().NumberValue);
-    return true;
-  }
+  if (peek().is(TokenKind::Number))
+    return parseInt(FlatIndex);
   return parseQubitRef(FlatIndex);
 }
 
 } // namespace
 
 Expected<WqasmProgram> qasm::parseWqasm(std::string_view Source) {
-  std::string LexError;
-  std::vector<Token> Tokens = tokenize(Source, LexError);
-  if (!LexError.empty())
-    return Expected<WqasmProgram>::error(LexError);
-  return Parser(std::move(Tokens)).run();
+  return Parser(Source).run();
 }
 
 Expected<circuit::Circuit> qasm::parseQasmCircuit(std::string_view Source) {

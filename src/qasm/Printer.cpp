@@ -17,38 +17,48 @@ using circuit::GateKind;
 namespace {
 
 void printStatementLine(std::string &Out, const Gate &G) {
-  if (G.kind() == GateKind::Barrier) {
-    Out += "barrier;\n";
-    return;
-  }
-  if (G.kind() == GateKind::Measure) {
-    Out += "measure q[" + std::to_string(G.qubit(0)) + "];\n";
-    return;
-  }
-  Out += std::string(circuit::gateName(G.kind()));
-  if (G.numParams() > 0) {
-    Out += "(";
-    for (unsigned I = 0, E = G.numParams(); I < E; ++I) {
-      if (I)
-        Out += ", ";
-      Out += formatDouble(G.param(I));
-    }
-    Out += ")";
-  }
-  for (unsigned I = 0, E = G.numQubits(); I < E; ++I) {
-    Out += I ? ", " : " ";
-    Out += "q[" + std::to_string(G.qubit(I)) + "]";
-  }
+  G.appendTo(Out);
   Out += ";\n";
 }
 
 void printHeader(std::string &Out, const std::string &Version, int NumQubits,
                  int NumBits) {
-  Out += "OPENQASM " + Version + ";\n";
-  if (NumQubits > 0)
-    Out += "qubit[" + std::to_string(NumQubits) + "] q;\n";
-  if (NumBits > 0)
-    Out += "bit[" + std::to_string(NumBits) + "] c;\n";
+  Out += "OPENQASM ";
+  Out += Version;
+  Out += ";\n";
+  if (NumQubits > 0) {
+    Out += "qubit[";
+    appendInt(Out, NumQubits);
+    Out += "] q;\n";
+  }
+  if (NumBits > 0) {
+    Out += "bit[";
+    appendInt(Out, NumBits);
+    Out += "] c;\n";
+  }
+}
+
+void printAnnotationLine(std::string &Out, const Annotation &A) {
+  A.appendTo(Out);
+  Out += '\n';
+}
+
+// Typical printed widths in compiler output: a gate line, the fixed part
+// of an annotation line, a list index and a "%.17g" number with its
+// separator.
+constexpr size_t StatementBytes = 24, AnnotationBytes = 40, IndexBytes = 5,
+                 NumberBytes = 20;
+
+/// Cheap estimate of printWqasm's output size, so the one output buffer is
+/// reserved about once without a worst-case bound (17 digits for every
+/// number) inflating transient memory.
+size_t estimateBytes(const WqasmProgram &Program) {
+  size_t Bytes = 64 + Program.Statements.size() * StatementBytes;
+  for (const Annotation &A : AnnotationView(Program))
+    Bytes += AnnotationBytes + IndexBytes * A.ShuttleIndices.size() +
+             NumberBytes * (2 * A.TrapPositions.size() + A.AodXs.size() +
+                            A.AodYs.size() + A.ShuttleOffsets.size());
+  return Bytes;
 }
 
 } // namespace
@@ -64,13 +74,14 @@ std::string qasm::printOpenQasm(const Circuit &C) {
 
 std::string qasm::printWqasm(const WqasmProgram &Program) {
   std::string Out;
+  Out.reserve(estimateBytes(Program));
   printHeader(Out, Program.Version, Program.NumQubits, Program.NumBits);
   for (const GateStatement &S : Program.Statements) {
     for (const Annotation &A : S.Annotations)
-      Out += A.str() + "\n";
+      printAnnotationLine(Out, A);
     printStatementLine(Out, S.Gate);
   }
   for (const Annotation &A : Program.TrailingAnnotations)
-    Out += A.str() + "\n";
+    printAnnotationLine(Out, A);
   return Out;
 }

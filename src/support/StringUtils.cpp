@@ -49,11 +49,9 @@ bool weaver::startsWith(std::string_view S, std::string_view Prefix) {
 }
 
 std::string weaver::formatDouble(double Value) {
-  // 17 significant digits round-trip any double; strip trailing zeros for
-  // readable QASM output.
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Value);
-  return std::string(Buf);
+  std::string Out;
+  appendDouble(Out, Value);
+  return Out;
 }
 
 Expected<long long> weaver::parseBoundedInt(std::string_view Tok,
@@ -76,9 +74,11 @@ Expected<long long> weaver::parseBoundedInt(std::string_view Tok,
 }
 
 Expected<double> weaver::parseFiniteDouble(std::string_view Tok) {
-  // strtod instead of from_chars<double>: the latter is missing from older
-  // libstdc++. A bounded copy gives strtod its NUL terminator and caps the
-  // work a hostile token can cause.
+  // strtod, not from_chars<double>: strtod maps underflow to a denormal or
+  // zero, which stays accepted, where from_chars reports it as out of range
+  // and leaves no value. The wQASM lexer takes from_chars' fast path and
+  // comes here only for that case. A bounded copy gives strtod its NUL
+  // terminator and caps the work a hostile token can cause.
   if (Tok.empty() || Tok.size() > 64)
     return Expected<double>::error("invalid double token");
   std::string Buf(Tok);

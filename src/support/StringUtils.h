@@ -15,6 +15,7 @@
 
 #include "support/Status.h"
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,8 +32,25 @@ std::vector<std::string_view> split(std::string_view S, char Sep,
 /// Returns true if \p S starts with \p Prefix.
 bool startsWith(std::string_view S, std::string_view Prefix);
 
-/// Formats a double compactly (shortest representation that round-trips the
-/// displayed precision), e.g. for QASM angle emission.
+/// Appends the decimal form of \p Value (std::to_string's text) to \p Out.
+inline void appendInt(std::string &Out, long long Value) {
+  char Buf[24];
+  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value);
+  Out.append(Buf, R.ptr);
+}
+
+/// Appends \p Value with 17 significant digits in the "%.17g" form (which
+/// round-trips any double), e.g. for QASM angle emission. Formats through
+/// std::to_chars straight into \p Out: no locale, no temporary string.
+inline void appendDouble(std::string &Out, double Value) {
+  // Longest "%.17g" text: sign, 17 digits, '.', "e-308".
+  char Buf[32];
+  auto R = std::to_chars(Buf, Buf + sizeof(Buf), Value,
+                         std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
+}
+
+/// Returns appendDouble's text for \p Value as a string.
 std::string formatDouble(double Value);
 
 /// printf-style formatting into a std::string.

@@ -4,10 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/WeaverCompiler.h"
 #include "qasm/Lexer.h"
 #include "qasm/Parser.h"
 #include "qasm/Printer.h"
+#include "sat/Generator.h"
 #include "sim/StateVector.h"
+#include "support/Rng.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -75,6 +79,69 @@ TEST(Lexer, RejectsOverflowingNumerals) {
   EXPECT_TRUE(Err.empty()) << Err;
   ASSERT_FALSE(Tokens.empty());
   EXPECT_GE(Tokens[0].NumberValue, 0.0);
+}
+
+TEST(Lexer, RejectsOverlongNumerals) {
+  // 64 characters is the cap on a numeral's text; one more is an error.
+  std::string Ok = "1." + std::string(62, '5');
+  ASSERT_EQ(Ok.size(), 64u);
+  std::string Err;
+  auto Tokens = tokenize(Ok, Err);
+  EXPECT_TRUE(Err.empty()) << Err;
+  ASSERT_FALSE(Tokens.empty());
+  EXPECT_DOUBLE_EQ(Tokens[0].NumberValue, 1.5555555555555556);
+  tokenize(Ok + "5", Err);
+  EXPECT_NE(Err.find("line 1: invalid numeric literal"), std::string::npos)
+      << Err;
+}
+
+// The lexer converts numerals with from_chars; parseFiniteDouble (strtod)
+// is the oracle for which numeral-shaped runs are accepted and what value
+// they take, including underflow to denormals and zero.
+TEST(Lexer, NumeralsMatchStrtodOracle) {
+  std::vector<std::string> Cases = {
+      "0",       "1.",     ".5",      "1.e5",     "007",   "1e-324",
+      "2.5e-324", "4.9406564584124654e-324", "1e-400", "1e308", "1.8e308",
+      "2.2250738585072011e-308", "9007199254740993", "1e+5",  "1E-5"};
+  SplitMix64 Rng(20251017);
+  const char Alphabet[] = "0123456789.eE+-";
+  for (int I = 0; I < 20000; ++I) {
+    // Only runs the lexer's numeral scan would take whole: a digit first,
+    // signs only right after an exponent letter.
+    std::string S(1, static_cast<char>('0' + Rng.next() % 10));
+    size_t Len = Rng.next() % 12;
+    while (S.size() < Len) {
+      char C = Alphabet[Rng.next() % (sizeof(Alphabet) - 1)];
+      if ((C == '+' || C == '-') && S.back() != 'e' && S.back() != 'E')
+        continue;
+      S += C;
+    }
+    Cases.push_back(S);
+  }
+  for (const std::string &S : Cases) {
+    std::string Err;
+    auto Tokens = tokenize(S, Err);
+    Expected<double> Oracle = parseFiniteDouble(S);
+    ASSERT_EQ(Err.empty(), Oracle.ok()) << S << ": " << Err;
+    if (!Oracle)
+      continue;
+    ASSERT_EQ(Tokens.size(), 2u) << S;
+    ASSERT_EQ(Tokens[0].Text, S);
+    ASSERT_EQ(Tokens[0].NumberValue, *Oracle) << S;
+  }
+}
+
+TEST(Lexer, TokenTextBorrowsTheSource) {
+  std::string Source = "rz(0.5) q[12];";
+  std::string Err;
+  auto Tokens = tokenize(Source, Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  ASSERT_EQ(Tokens.size(), 10u);
+  EXPECT_EQ(Tokens[0].Text, "rz");
+  EXPECT_EQ(Tokens[2].Text, "0.5");
+  EXPECT_EQ(Tokens[2].Text.data(), Source.data() + 3);
+  EXPECT_EQ(Tokens[6].NumberValue, 12.0);
+  EXPECT_TRUE(Tokens[9].is(TokenKind::EndOfFile));
 }
 
 TEST(Lexer, ReportsUnterminatedString) {
@@ -174,6 +241,60 @@ TEST(Parser, ErrorsCarryLineNumbers) {
   auto C = parseQasmCircuit("qubit[1] q;\nh q[0];\nbogus q[0];\n");
   ASSERT_FALSE(C.ok());
   EXPECT_NE(C.message().find("line 3"), std::string::npos) << C.message();
+}
+
+TEST(Parser, RejectsNonIntegralIndicesAndSizes) {
+  // Truncation would silently change the program: q[1.9] would address
+  // q[1] and qubit[2.5] would declare 2 qubits.
+  struct Case {
+    const char *Source;
+    const char *Line;
+  } Cases[] = {
+      {"qubit[2] q;\nh q[1.9];\n", "line 2:"},
+      {"qubit[2.5] q;\n", "line 1:"},
+      {"qreg q[2.5];\n", "line 1:"},
+      {"qubit[2] q;\n@bind 1.5 slm 0\nh q[0];\n", "line 2:"},
+      {"qubit[2] q;\n@raman local 0.5 0 0 0\nh q[0];\n", "line 2:"},
+      {"qubit[4] q;\n@transfer 1 (0.5, 1)\nh q[0];\n", "line 2:"},
+  };
+  for (const Case &C : Cases) {
+    auto P = parseWqasm(C.Source);
+    ASSERT_FALSE(P.ok()) << C.Source;
+    EXPECT_NE(P.message().find(C.Line), std::string::npos) << P.message();
+  }
+  // An integral numeral in another spelling is still that integer.
+  auto P = parseWqasm("qubit[2] q;\nh q[1.0];\nx q[1e0];\n");
+  ASSERT_TRUE(P.ok()) << P.message();
+  EXPECT_EQ(P->Statements[0].Gate.qubit(0), 1);
+  EXPECT_EQ(P->Statements[1].Gate.qubit(0), 1);
+}
+
+TEST(Parser, RejectsIntegersOutsideIntRange) {
+  for (const char *Source :
+       {"qubit[3000000000] q;\n", "qubit[2] q;\nh q[1e10];\n",
+        "qubit[2] q;\n@bind 4294967296 slm 0\nh q[0];\n"}) {
+    auto P = parseWqasm(Source);
+    ASSERT_FALSE(P.ok()) << Source;
+    EXPECT_NE(P.message().find("out of range"), std::string::npos)
+        << P.message();
+  }
+}
+
+TEST(Parser, RejectsRegisterTotalOverflow) {
+  // Each register fits in an int but their total does not, and must not
+  // wrap to a negative qubit count.
+  auto P = parseWqasm("qubit[2000000000] a;\nqubit[2000000000] b;\n");
+  ASSERT_FALSE(P.ok());
+  EXPECT_NE(P.message().find("line 2:"), std::string::npos) << P.message();
+  EXPECT_FALSE(parseWqasm("creg a[2147483647];\ncreg b[1];\n").ok());
+  // The largest total that fits is accepted.
+  EXPECT_TRUE(parseWqasm("creg a[2147483646];\ncreg b[1];\n").ok());
+}
+
+TEST(Parser, LexErrorAfterValidPrefixIsReported) {
+  auto P = parseWqasm("qubit[2] q;\nh q[0];\nrz(1.2.3) q[1];\n");
+  ASSERT_FALSE(P.ok());
+  EXPECT_EQ(P.message(), "line 3: invalid numeric literal '1.2.3'");
 }
 
 TEST(Parser, BarrierVariants) {
@@ -308,6 +429,18 @@ TEST(Printer, WqasmRoundTripStable) {
   ASSERT_TRUE(Back.ok()) << Back.message();
   EXPECT_EQ(printWqasm(*Back), Text);
   EXPECT_EQ(Back->numAnnotations(), 3u);
+}
+
+TEST(Printer, WqasmRoundTripStableOnCompilerOutput) {
+  auto W = core::compileWeaver(sat::satlibInstance(100, 1),
+                               core::WeaverOptions());
+  ASSERT_TRUE(W.ok()) << W.message();
+  std::string Text = printWqasm(W->Program);
+  auto Back = parseWqasm(Text);
+  ASSERT_TRUE(Back.ok()) << Back.message();
+  EXPECT_EQ(Back->Statements.size(), W->Program.Statements.size());
+  EXPECT_EQ(Back->numAnnotations(), W->Program.numAnnotations());
+  EXPECT_TRUE(printWqasm(*Back) == Text) << "print->parse->print not stable";
 }
 
 TEST(AnnotationView, IteratesInExecutionOrderSkippingEmptyStatements) {

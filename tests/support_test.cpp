@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -88,6 +92,46 @@ TEST(StringUtils, FormatDoubleRoundTrips) {
   double Values[] = {0.0, 1.5, -3.14159265358979, 1e-18, 2.5e17};
   for (double V : Values)
     EXPECT_EQ(std::stod(formatDouble(V)), V) << formatDouble(V);
+}
+
+// formatDouble's bytes are part of every printed wQASM program and pinned
+// by the goldens; "%.17g" is the format's definition, kept here as the
+// oracle.
+TEST(StringUtils, FormatDoubleMatchesPrintfOracle) {
+  auto Oracle = [](double V) {
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    return std::string(Buf);
+  };
+  std::vector<double> Values = {
+      0.0, -0.0, 4.9406564584124654e-324 /* smallest denormal */, DBL_MIN,
+      DBL_MAX, -DBL_MAX, 1e-5, 1e16, 1e17, 9007199254740993.0 /* 2^53+1 */,
+      0.1, 1.0 / 3, 3.141592653589793, HUGE_VAL, -HUGE_VAL, std::nan("")};
+  for (int I = -1000; I <= 1000; ++I)
+    Values.push_back(I);
+  SplitMix64 Rng(20250817);
+  for (int I = 0; I < 100000; ++I) {
+    uint64_t Bits = Rng.next();
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    Values.push_back(V);
+  }
+  for (double V : Values) {
+    std::string Got = formatDouble(V);
+    ASSERT_EQ(Got, Oracle(V));
+    std::string Appended = "x";
+    appendDouble(Appended, V);
+    ASSERT_EQ(Appended, "x" + Got);
+  }
+}
+
+TEST(StringUtils, AppendIntMatchesToString) {
+  for (long long V : {0LL, 7LL, -42LL, 2147483647LL, -2147483648LL,
+                      9223372036854775807LL, -9223372036854775807LL - 1}) {
+    std::string Out = "q[";
+    appendInt(Out, V);
+    EXPECT_EQ(Out, "q[" + std::to_string(V));
+  }
 }
 
 TEST(StringUtils, Formatf) {

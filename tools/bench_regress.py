@@ -38,11 +38,15 @@ STANDARD_KEYS = {
 # Counters derived from wall-clock measurements or scheduling order
 # (bench_service latency percentiles and throughput, coalescing ratios):
 # run-over-run comparison of these is timing noise, so the growth check
-# skips them. Deterministic byte/count counters (snapshot_bytes and
-# materialized from bench_persist, pulse counts, wQASM bytes) stay
-# checked: growth there is a real output regression.
+# skips them. The rates google-benchmark derives from SetItemsProcessed /
+# SetBytesProcessed (e.g. the MB/s of BM_PrintWqasm and BM_ParseWqasm)
+# are the inverse of real_time, whose slowdown check already covers them;
+# their growth is a speedup, not a regression. Deterministic byte/count
+# counters (snapshot_bytes and materialized from bench_persist, pulse
+# counts, wQASM bytes) stay checked: growth there is a real output
+# regression.
 NOISY_COUNTER_SUFFIXES = ("_ms", "_us", "_ns", "_sec")
-NOISY_COUNTERS = {"coalesced", "items_per_second"}
+NOISY_COUNTERS = {"coalesced", "items_per_second", "bytes_per_second"}
 
 
 def is_noisy_counter(name):

@@ -94,15 +94,17 @@ inline InstanceResults runSuite(const sat::CnfFormula &Formula,
                                 const SuiteConfig &Config) {
   InstanceResults R;
   bool SkipSlow = Formula.numVariables() > Config.SlowCompilerSizeCap;
+  auto Run = [&](const baselines::Backend &B) {
+    return B.compile(Formula, Config.Qaoa).Metrics;
+  };
   if (Config.RunSuperconducting)
-    R.Superconducting =
-        baselines::SuperconductingBackend().compile(Formula, Config.Qaoa);
+    R.Superconducting = Run(baselines::SuperconductingBackend());
   R.Superconducting.Compiler = "superconducting";
   if (Config.RunAtomique)
-    R.Atomique = baselines::AtomiqueBackend().compile(Formula, Config.Qaoa);
+    R.Atomique = Run(baselines::AtomiqueBackend());
   R.Atomique.Compiler = "atomique";
   if (Config.RunWeaver)
-    R.Weaver = baselines::WeaverBackend().compile(Formula, Config.Qaoa);
+    R.Weaver = Run(baselines::WeaverBackend());
   R.Weaver.Compiler = "weaver";
   if (Config.RunDpqa) {
     if (SkipSlow) {
@@ -110,7 +112,7 @@ inline InstanceResults runSuite(const sat::CnfFormula &Formula,
     } else {
       baselines::DpqaParams P;
       P.DeadlineSeconds = Config.DpqaDeadline;
-      R.Dpqa = baselines::DpqaBackend(P).compile(Formula, Config.Qaoa);
+      R.Dpqa = Run(baselines::DpqaBackend(P));
     }
   }
   R.Dpqa.Compiler = "dpqa";
@@ -121,7 +123,7 @@ inline InstanceResults runSuite(const sat::CnfFormula &Formula,
       baselines::GeyserParams P;
       P.DeadlineSeconds = Config.GeyserDeadline;
       P.SynthesisTrials = Config.GeyserTrials;
-      R.Geyser = baselines::GeyserBackend(P).compile(Formula, Config.Qaoa);
+      R.Geyser = Run(baselines::GeyserBackend(P));
     }
   }
   R.Geyser.Compiler = "geyser";

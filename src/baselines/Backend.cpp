@@ -6,53 +6,30 @@
 
 #include "baselines/Backend.h"
 
-#include "qasm/Printer.h"
-
 using namespace weaver;
 using namespace weaver::baselines;
 
-CompileOutput Backend::compileFull(const sat::CnfFormula &Formula,
-                                   const qaoa::QaoaParams &Qaoa,
-                                   const CancelToken *Cancel) const {
+namespace {
+
+/// Runs one baseline compile. The baselines have no between-pass
+/// checkpoints, so \p Cancel is honoured at the only safe point: before
+/// the compile starts.
+template <typename CompileFn>
+CompileOutput runBaseline(const Backend &B, const CancelToken *Cancel,
+                          CompileFn Compile) {
   CompileOutput Out;
-  // Baselines have no between-pass checkpoints; honour the token at the
-  // only safe point — before the compile starts.
   if (Cancel && Cancel->checkpoint()) {
     Out.Cancelled = true;
-    Out.Metrics.Compiler = name();
     Out.Metrics.Unsupported = true;
     Out.Metrics.Diagnostic = CancelledDiagnostic;
-    return Out;
+  } else {
+    Out.Metrics = Compile();
   }
-  Out.Metrics = compile(Formula, Qaoa);
+  Out.Metrics.Compiler = B.name();
   return Out;
 }
 
-CompileOutput WeaverBackend::compileFull(const sat::CnfFormula &Formula,
-                                         const qaoa::QaoaParams &Qaoa,
-                                         const CancelToken *Cancel) const {
-  core::WeaverOptions Opt = Options;
-  Opt.Qaoa = Qaoa;
-  Opt.Cancel = Cancel;
-  CompileOutput Out;
-  auto W = core::compileWeaver(Formula, Opt);
-  if (!W) {
-    Out.Metrics.Compiler = name();
-    if (isCancelledStatus(W.status())) {
-      Out.Cancelled = true;
-      Out.Metrics.Diagnostic = CancelledDiagnostic;
-    } else {
-      Out.Metrics.Unsupported = true;
-      Out.Metrics.Diagnostic = W.message();
-    }
-    return Out;
-  }
-  Out.Metrics = toBaselineResult(*W);
-  Out.Wqasm = qasm::printWqasm(W->Program);
-  Out.FrontHalfFromCache = W->FrontHalfFromCache;
-  Out.ProgramFromCache = W->ProgramFromCache;
-  return Out;
-}
+} // namespace
 
 const char *baselines::backendKindName(BackendKind Kind) {
   switch (Kind) {
@@ -93,14 +70,6 @@ Expected<BackendKind> baselines::backendKindFromName(const std::string &Name) {
   return Expected<BackendKind>::error("unknown backend '" + Name + "'");
 }
 
-Expected<std::unique_ptr<Backend>>
-baselines::createBackend(const std::string &Name) {
-  Expected<BackendKind> Kind = backendKindFromName(Name);
-  if (!Kind)
-    return Expected<std::unique_ptr<Backend>>(Kind.status());
-  return createBackend(*Kind);
-}
-
 BaselineResult baselines::toBaselineResult(const core::WeaverResult &W) {
   BaselineResult R;
   R.Compiler = "weaver";
@@ -114,49 +83,61 @@ BaselineResult baselines::toBaselineResult(const core::WeaverResult &W) {
   return R;
 }
 
-BaselineResult
+CompileOutput
 SuperconductingBackend::compile(const sat::CnfFormula &Formula,
-                                const qaoa::QaoaParams &Qaoa) const {
-  BaselineResult R = compileSuperconducting(Formula, Qaoa, Params);
-  R.Compiler = name();
-  return R;
+                                const qaoa::QaoaParams &Qaoa,
+                                const CancelToken *Cancel) const {
+  return runBaseline(*this, Cancel, [&] {
+    return compileSuperconducting(Formula, Qaoa, Params);
+  });
 }
 
-BaselineResult AtomiqueBackend::compile(const sat::CnfFormula &Formula,
-                                        const qaoa::QaoaParams &Qaoa) const {
-  BaselineResult R = compileAtomique(Formula, Qaoa, Params);
-  R.Compiler = name();
-  return R;
+CompileOutput AtomiqueBackend::compile(const sat::CnfFormula &Formula,
+                                       const qaoa::QaoaParams &Qaoa,
+                                       const CancelToken *Cancel) const {
+  return runBaseline(*this, Cancel,
+                     [&] { return compileAtomique(Formula, Qaoa, Params); });
 }
 
-BaselineResult WeaverBackend::compile(const sat::CnfFormula &Formula,
-                                      const qaoa::QaoaParams &Qaoa) const {
+CompileOutput WeaverBackend::compile(const sat::CnfFormula &Formula,
+                                     const qaoa::QaoaParams &Qaoa,
+                                     const CancelToken *Cancel) const {
   core::WeaverOptions Opt = Options;
   Opt.Qaoa = Qaoa;
+  Opt.Cancel = Cancel;
+  CompileOutput Out;
   auto W = core::compileWeaver(Formula, Opt);
   if (!W) {
-    // Malformed formulas (clause wider than three literals) and pipeline
-    // failures both land here; keep the message so drivers can tell a bad
-    // input from a compiler bug.
-    BaselineResult R;
-    R.Compiler = name();
-    R.Unsupported = true;
-    R.Diagnostic = W.message();
-    return R;
+    Out.Metrics.Compiler = name();
+    if (isCancelledStatus(W.status())) {
+      Out.Cancelled = true;
+      Out.Metrics.Diagnostic = CancelledDiagnostic;
+    } else {
+      // Malformed formulas (clause wider than three literals) and
+      // pipeline failures both land here; keep the message so drivers
+      // can tell a bad input from a compiler bug.
+      Out.Metrics.Unsupported = true;
+      Out.Metrics.Diagnostic = W.message();
+    }
+    return Out;
   }
-  return toBaselineResult(*W);
+  Out.Metrics = toBaselineResult(*W);
+  Out.FrontHalfFromCache = W->FrontHalfFromCache;
+  Out.ProgramFromCache = W->ProgramFromCache;
+  Out.Program = std::move(W->Program);
+  return Out;
 }
 
-BaselineResult DpqaBackend::compile(const sat::CnfFormula &Formula,
-                                    const qaoa::QaoaParams &Qaoa) const {
-  BaselineResult R = compileDpqa(Formula, Qaoa, Params);
-  R.Compiler = name();
-  return R;
+CompileOutput DpqaBackend::compile(const sat::CnfFormula &Formula,
+                                   const qaoa::QaoaParams &Qaoa,
+                                   const CancelToken *Cancel) const {
+  return runBaseline(*this, Cancel,
+                     [&] { return compileDpqa(Formula, Qaoa, Params); });
 }
 
-BaselineResult GeyserBackend::compile(const sat::CnfFormula &Formula,
-                                      const qaoa::QaoaParams &Qaoa) const {
-  BaselineResult R = compileGeyser(Formula, Qaoa, Params);
-  R.Compiler = name();
-  return R;
+CompileOutput GeyserBackend::compile(const sat::CnfFormula &Formula,
+                                     const qaoa::QaoaParams &Qaoa,
+                                     const CancelToken *Cancel) const {
+  return runBaseline(*this, Cancel,
+                     [&] { return compileGeyser(Formula, Qaoa, Params); });
 }

@@ -9,8 +9,9 @@
 /// the Weaver FPQA path and the four baselines (superconducting/SABRE,
 /// Atomique, DPQA, Geyser) — is invocable through one \c Backend API that
 /// takes a MAX-3SAT formula plus QAOA parameters and returns the uniform
-/// \c BaselineResult metric record. Drivers (benches, examples, the batch
-/// compiler) retarget by swapping the backend object, not the call site.
+/// \c BaselineResult metric record (plus the emitted program, for Weaver).
+/// Drivers (benches, examples, the batch compiler, the compile service)
+/// retarget by swapping the backend object, not the call site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,26 +25,30 @@
 #include "baselines/Superconducting.h"
 #include "core/WeaverCompiler.h"
 #include "qaoa/Builder.h"
+#include "qasm/Program.h"
 #include "sat/Cnf.h"
 #include "support/CancelToken.h"
 #include "support/Status.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace weaver {
 namespace baselines {
 
-/// The full artefact of one compile, as served by the CompileService:
-/// uniform metrics, the emitted wQASM text for backends that produce one
-/// (only Weaver today), and the cache/cancellation disposition.
+/// The full artefact of one compile: uniform metrics, the emitted wQASM
+/// program for backends that produce one (only Weaver today), and the
+/// cache/cancellation disposition. The program is returned unprinted;
+/// callers that want text print it (CompileService, verifying drivers),
+/// metric-only callers just drop it.
 struct CompileOutput {
   BaselineResult Metrics;
-  /// Printed wQASM program; empty for backends without a pulse-level
-  /// output format.
-  std::string Wqasm;
-  /// The compile observed its CancelToken and aborted between passes.
+  /// Emitted program; empty for backends without a pulse-level output
+  /// format and for failed or cancelled compiles.
+  std::optional<qasm::WqasmProgram> Program;
+  /// The compile observed its CancelToken and aborted.
   bool Cancelled = false;
   /// PassCache tier diagnostics (Weaver only; see WeaverResult).
   bool FrontHalfFromCache = false;
@@ -61,20 +66,13 @@ public:
   virtual std::string name() const = 0;
 
   /// Compiles the QAOA program for \p Formula. Infeasible instances are
-  /// reported through the result's TimedOut/Unsupported flags, never by
-  /// crashing.
-  virtual BaselineResult compile(const sat::CnfFormula &Formula,
-                                 const qaoa::QaoaParams &Qaoa) const = 0;
-
-  /// Compiles and additionally returns the printed program plus the
-  /// cancellation/cache disposition — the entry point the CompileService
-  /// uses. The default forwards to compile() and supports cancellation
-  /// only before the compile starts; WeaverBackend overrides it to thread
-  /// \p Cancel through the pass pipeline (aborting between passes) and to
-  /// print the emitted wQASM.
-  virtual CompileOutput compileFull(const sat::CnfFormula &Formula,
-                                    const qaoa::QaoaParams &Qaoa,
-                                    const CancelToken *Cancel = nullptr) const;
+  /// reported through the metrics' TimedOut/Unsupported flags, never by
+  /// crashing. \p Cancel (may be null) aborts the compile: the baselines
+  /// honour it only before they start; WeaverBackend threads it through
+  /// the pass pipeline and aborts between passes.
+  virtual CompileOutput compile(const sat::CnfFormula &Formula,
+                                const qaoa::QaoaParams &Qaoa,
+                                const CancelToken *Cancel = nullptr) const = 0;
 };
 
 /// The five compilers of the paper's evaluation, in its plot order.
@@ -93,9 +91,6 @@ Expected<BackendKind> backendKindFromName(const std::string &Name);
 /// Constructs the backend for \p Kind with default parameters.
 std::unique_ptr<Backend> createBackend(BackendKind Kind);
 
-/// Constructs a backend by its stable name; fails on unknown names.
-Expected<std::unique_ptr<Backend>> createBackend(const std::string &Name);
-
 /// Adapts a WeaverResult into the shared metric record.
 BaselineResult toBaselineResult(const core::WeaverResult &W);
 
@@ -106,8 +101,9 @@ public:
   explicit SuperconductingBackend(SuperconductingParams Params = {})
       : Params(Params) {}
   std::string name() const override { return "superconducting"; }
-  BaselineResult compile(const sat::CnfFormula &Formula,
-                         const qaoa::QaoaParams &Qaoa) const override;
+  CompileOutput compile(const sat::CnfFormula &Formula,
+                        const qaoa::QaoaParams &Qaoa,
+                        const CancelToken *Cancel = nullptr) const override;
 
 private:
   SuperconductingParams Params;
@@ -117,8 +113,9 @@ class AtomiqueBackend : public Backend {
 public:
   explicit AtomiqueBackend(AtomiqueParams Params = {}) : Params(Params) {}
   std::string name() const override { return "atomique"; }
-  BaselineResult compile(const sat::CnfFormula &Formula,
-                         const qaoa::QaoaParams &Qaoa) const override;
+  CompileOutput compile(const sat::CnfFormula &Formula,
+                        const qaoa::QaoaParams &Qaoa,
+                        const CancelToken *Cancel = nullptr) const override;
 
 private:
   AtomiqueParams Params;
@@ -131,11 +128,9 @@ public:
   explicit WeaverBackend(core::WeaverOptions Options = {})
       : Options(std::move(Options)) {}
   std::string name() const override { return "weaver"; }
-  BaselineResult compile(const sat::CnfFormula &Formula,
-                         const qaoa::QaoaParams &Qaoa) const override;
-  CompileOutput compileFull(const sat::CnfFormula &Formula,
-                            const qaoa::QaoaParams &Qaoa,
-                            const CancelToken *Cancel = nullptr) const override;
+  CompileOutput compile(const sat::CnfFormula &Formula,
+                        const qaoa::QaoaParams &Qaoa,
+                        const CancelToken *Cancel = nullptr) const override;
 
 private:
   core::WeaverOptions Options;
@@ -145,8 +140,9 @@ class DpqaBackend : public Backend {
 public:
   explicit DpqaBackend(DpqaParams Params = {}) : Params(Params) {}
   std::string name() const override { return "dpqa"; }
-  BaselineResult compile(const sat::CnfFormula &Formula,
-                         const qaoa::QaoaParams &Qaoa) const override;
+  CompileOutput compile(const sat::CnfFormula &Formula,
+                        const qaoa::QaoaParams &Qaoa,
+                        const CancelToken *Cancel = nullptr) const override;
 
 private:
   DpqaParams Params;
@@ -156,8 +152,9 @@ class GeyserBackend : public Backend {
 public:
   explicit GeyserBackend(GeyserParams Params = {}) : Params(Params) {}
   std::string name() const override { return "geyser"; }
-  BaselineResult compile(const sat::CnfFormula &Formula,
-                         const qaoa::QaoaParams &Qaoa) const override;
+  CompileOutput compile(const sat::CnfFormula &Formula,
+                        const qaoa::QaoaParams &Qaoa,
+                        const CancelToken *Cancel = nullptr) const override;
 
 private:
   GeyserParams Params;

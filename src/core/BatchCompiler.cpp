@@ -46,7 +46,7 @@ std::vector<baselines::BaselineResult> BatchCompiler::compileAll(
     size_t Remaining = Formulas.size();
     for (size_t I = 0; I < Formulas.size(); ++I) {
       bool Posted = Options.Pool->post([&, I]() {
-        Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
+        Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa).Metrics;
         std::lock_guard<std::mutex> Lock(M);
         if (--Remaining == 0)
           Done.notify_all();
@@ -54,7 +54,7 @@ std::vector<baselines::BaselineResult> BatchCompiler::compileAll(
       if (!Posted) {
         // Pool shut down mid-batch: run the remainder inline so every
         // slot still gets a result.
-        Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
+        Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa).Metrics;
         std::lock_guard<std::mutex> Lock(M);
         if (--Remaining == 0)
           Done.notify_all();
@@ -68,7 +68,7 @@ std::vector<baselines::BaselineResult> BatchCompiler::compileAll(
   int Threads = effectiveThreads(Formulas.size());
   if (Threads == 1) {
     for (size_t I = 0; I < Formulas.size(); ++I)
-      Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
+      Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa).Metrics;
     return Results;
   }
 
@@ -79,7 +79,7 @@ std::vector<baselines::BaselineResult> BatchCompiler::compileAll(
   auto Worker = [&]() {
     for (size_t I = Next.fetch_add(1); I < Formulas.size();
          I = Next.fetch_add(1))
-      Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa);
+      Results[I] = BackendImpl.compile(Formulas[I], Options.Qaoa).Metrics;
   };
   std::vector<std::thread> Pool;
   Pool.reserve(Threads);

@@ -15,6 +15,7 @@
 
 #include "core/service/CompileService.h"
 
+#include "qasm/Printer.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
@@ -42,18 +43,6 @@ const char *core::jobStateName(JobState State) {
   return "unknown";
 }
 
-const char *core::cacheTierName(CacheTier Tier) {
-  switch (Tier) {
-  case CacheTier::None:
-    return "none";
-  case CacheTier::Front:
-    return "front";
-  case CacheTier::Program:
-    return "program";
-  }
-  return "unknown";
-}
-
 namespace {
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
@@ -66,15 +55,13 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
 
 /// Shared state of one submitted job. State/Resolved/Outcome/Waiters/
 /// CancelVotes/Callbacks are guarded by M; Id/Request/Key/EnqueueTime are
-/// immutable after submit; InDedupIndex is guarded by the service mutex;
-/// the CancelToken is internally atomic.
+/// immutable after submit; the CancelToken is internally atomic.
 struct CompileService::Job {
   uint64_t Id = 0;
   CompileRequest Request;
   JobKey Key;
   CancelToken Cancel;
   std::chrono::steady_clock::time_point EnqueueTime;
-  bool InDedupIndex = false; ///< guarded by the service mutex
 
   std::mutex M;
   std::condition_variable CV;
@@ -246,9 +233,7 @@ CompileService::SubmitStatus
 CompileService::submitImpl(CompileRequest Request, Callback Cb, bool Blocking,
                            JobHandle &Out) {
   auto Now = std::chrono::steady_clock::now();
-  JobKey Key;
-  if (Options.Deduplicate)
-    Key = makeKey(Request);
+  JobKey Key = makeKey(Request);
 
   std::shared_ptr<Job> J;
   bool Coalesced = false;
@@ -265,7 +250,7 @@ CompileService::submitImpl(CompileRequest Request, Callback Cb, bool Blocking,
       if (!Blocking)
         return SubmitStatus::ShutDown;
       Rejected = true;
-    } else if (Options.Deduplicate) {
+    } else {
       auto It = InFlight.find(Key.Hash);
       if (It != InFlight.end())
         for (std::pair<JobKey, std::shared_ptr<Job>> &Entry : It->second)
@@ -305,10 +290,7 @@ CompileService::submitImpl(CompileRequest Request, Callback Cb, bool Blocking,
         J->Callbacks.push_back(std::move(Cb));
       if (!Rejected) {
         Live.emplace(J->Id, J);
-        if (Options.Deduplicate) {
-          InFlight[J->Key.Hash].push_back({J->Key, J});
-          J->InDedupIndex = true;
-        }
+        InFlight[J->Key.Hash].push_back({J->Key, J});
         if (!Blocking) {
           // Post under the service mutex — tryPost never waits, and a
           // failed post must roll the registration back before any
@@ -316,8 +298,7 @@ CompileService::submitImpl(CompileRequest Request, Callback Cb, bool Blocking,
           WorkerPool::PostResult R =
               Pool.tryPost([this, J]() { runJob(J); }, J->Request.Priority);
           if (R != WorkerPool::PostResult::Posted) {
-            if (J->InDedupIndex)
-              removeFromDedupLocked(J);
+            removeFromDedupLocked(J);
             Live.erase(J->Id);
             return R == WorkerPool::PostResult::Full
                        ? SubmitStatus::QueueFull
@@ -437,7 +418,14 @@ void CompileService::runJob(const std::shared_ptr<Job> &J) {
   const baselines::Backend &B = backendFor(J->Request.Kind);
   auto Start = std::chrono::steady_clock::now();
   baselines::CompileOutput Result =
-      B.compileFull(J->Request.Formula, J->Request.Qaoa, &J->Cancel);
+      B.compile(J->Request.Formula, J->Request.Qaoa, &J->Cancel);
+  // Print inside the timed region and drop the program right away: the
+  // outcome carries text only, and CompileSeconds means compile + print.
+  std::string Wqasm;
+  if (Result.Program) {
+    Wqasm = qasm::printWqasm(*Result.Program);
+    Result.Program.reset();
+  }
   double CompileSeconds = secondsSince(Start);
 
   JobOutcome Out;
@@ -449,7 +437,7 @@ void CompileService::runJob(const std::shared_ptr<Job> &J) {
                   : (Result.Metrics.usable() ? JobState::Completed
                                              : JobState::Failed);
   Out.Metrics = std::move(Result.Metrics);
-  Out.Wqasm = std::move(Result.Wqasm);
+  Out.Wqasm = std::move(Wqasm);
   if (Result.Cancelled) {
     Out.DeadlineExceeded = J->Cancel.wasDeadline();
     Out.Diagnostic =
@@ -479,8 +467,7 @@ bool CompileService::resolveJob(const std::shared_ptr<Job> &J,
   }
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (J->InDedupIndex)
-      removeFromDedupLocked(J);
+    removeFromDedupLocked(J);
     Live.erase(J->Id);
     switch (J->Outcome.State) {
     case JobState::Completed:
@@ -533,7 +520,6 @@ void CompileService::removeFromDedupLocked(const std::shared_ptr<Job> &J) {
     if (Bucket.empty())
       InFlight.erase(It);
   }
-  J->InDedupIndex = false;
 }
 
 // --- Watchdog ------------------------------------------------------------
@@ -614,8 +600,7 @@ void CompileService::voteCancel(const std::shared_ptr<Job> &J,
     // A cancel-requested job leaves the dedup index so an identical new
     // submission starts a fresh compile instead of joining a doomed one.
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (J->InDedupIndex)
-      removeFromDedupLocked(J);
+    removeFromDedupLocked(J);
   }
   if (ResolveNow) {
     JobOutcome Out;
@@ -730,21 +715,5 @@ Table CompileService::statsTable() const {
   T.addRow({"cache hits front tier", std::to_string(S.FrontTierHits)});
   T.addRow({"cache entries loaded from file",
             std::to_string(S.CacheEntriesLoaded)});
-  return T;
-}
-
-Table CompileService::outcomeTable(const std::vector<JobOutcome> &Outcomes) {
-  Table T({"job", "backend", "state", "queue [ms]", "compile [ms]", "cache",
-           "pulses", "EPS"});
-  for (const JobOutcome &O : Outcomes) {
-    bool Ran = O.State == JobState::Completed && O.Metrics.usable();
-    T.addRow({std::to_string(O.JobId),
-              O.Metrics.Compiler.empty() ? "-" : O.Metrics.Compiler,
-              jobStateName(O.State), formatf("%.2f", O.QueueSeconds * 1e3),
-              formatf("%.2f", O.CompileSeconds * 1e3), cacheTierName(O.Tier),
-              Ran ? std::to_string(O.Metrics.Pulses) : "-",
-              Ran && O.Metrics.EpsMeaningful ? formatf("%.3g", O.Metrics.Eps)
-                                             : "-"});
-  }
   return T;
 }

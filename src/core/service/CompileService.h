@@ -70,9 +70,6 @@ const char *jobStateName(JobState State);
 /// Which PassCache tier served a Weaver job.
 enum class CacheTier { None, Front, Program };
 
-/// Stable lower-case tier name ("none", "front", "program").
-const char *cacheTierName(CacheTier Tier);
-
 /// One compile job: what to compile, on which backend, at what priority.
 struct CompileRequest {
   sat::CnfFormula Formula;
@@ -117,7 +114,8 @@ struct JobOutcome {
   /// Seconds between submission and the job leaving the queue (or being
   /// cancelled in it).
   double QueueSeconds = 0;
-  /// Worker wall-clock seconds spent in the backend compile.
+  /// Worker wall-clock seconds spent in the backend compile + wQASM
+  /// print.
   double CompileSeconds = 0;
   /// PassCache tier that served the compile (Weaver only).
   CacheTier Tier = CacheTier::None;
@@ -138,8 +136,6 @@ struct ServiceOptions {
   /// Bounded job-queue capacity; submit() blocks while the queue is
   /// full. 0 means unbounded.
   size_t QueueCapacity = 256;
-  /// Coalesce identical in-flight requests onto one compile.
-  bool Deduplicate = true;
   /// Compile Weaver jobs through a PassCache. False (with Cache unset)
   /// runs every job cold — used by the differential tests to pin
   /// cache-on == cache-off byte identity through the service.
@@ -285,14 +281,10 @@ public:
   ServiceStats stats() const;
   /// Aggregate stats as a support/Table ("metric" / "value" rows).
   Table statsTable() const;
-  /// Per-job rows (queue wait, compile wall, cache tier) for a set of
-  /// resolved outcomes — the per-job half of the service's reporting.
-  static Table outcomeTable(const std::vector<JobOutcome> &Outcomes);
 
   /// The PassCache every Weaver job compiles through; null when caching
   /// was disabled via ServiceOptions.
   pipeline::PassCache *cache() { return ActiveCache; }
-  int numThreads() const { return Pool.numThreads(); }
 
 private:
   /// Exact-match identity of a request: formula payload + backend kind +
@@ -323,7 +315,8 @@ private:
   /// Resolves \p J exactly once; later calls are no-ops. Returns whether
   /// this call won the resolution.
   bool resolveJob(const std::shared_ptr<Job> &J, JobOutcome Outcome);
-  /// Drops \p J from the dedup index; caller holds the service mutex.
+  /// Drops \p J from the dedup index if it is there; caller holds the
+  /// service mutex.
   void removeFromDedupLocked(const std::shared_ptr<Job> &J);
   void voteCancel(const std::shared_ptr<Job> &J,
                   std::atomic<bool> &HandleVoted);
@@ -346,8 +339,8 @@ private:
   std::unordered_map<uint64_t,
                      std::vector<std::pair<JobKey, std::shared_ptr<Job>>>>
       InFlight;
-  /// Every unresolved job by id (dedup on or off) — the shutdown path
-  /// cancels through this.
+  /// Every unresolved job by id, cancel-requested ones included — the
+  /// shutdown path cancels through this.
   std::unordered_map<uint64_t, std::shared_ptr<Job>> Live;
 
   /// Watchdog state, under its own lock (never held together with the

@@ -6,11 +6,14 @@
 
 #include "net/Connection.h"
 
+#include "support/FaultInjection.h"
+
 using namespace weaver;
 using namespace weaver::net;
 
-Connection::ReadOutcome Connection::readAndParse(FaultInjector &Faults) {
-  if (Faults.enabled() && Faults.shouldDelayRead())
+Connection::ReadOutcome Connection::readAndParse() {
+  // Injected delay: pretend the read returned no data this poll cycle.
+  if (fault::fire("net.read.delay"))
     return ReadOutcome::NoData;
 
   char Buf[16384];
@@ -24,7 +27,10 @@ Connection::ReadOutcome Connection::readAndParse(FaultInjector &Faults) {
       return Progress ? ReadOutcome::Progress : ReadOutcome::Closed;
     if (R == IoResult::WouldBlock)
       break;
-    size_t Kept = Faults.enabled() ? Faults.clampRead(NumRead) : NumRead;
+    // Injected truncation drops a suffix of the received bytes. They are
+    // gone: framing on this connection is corrupt and must be detected
+    // (poisoned parser or read-idle timeout).
+    size_t Kept = fault::clampLen("net.read.truncate", NumRead, 0);
     if (Kept > 0) {
       if (!Parser.feed(Buf, Kept))
         return ReadOutcome::Poisoned;
@@ -53,11 +59,12 @@ bool Connection::queueWrite(const std::string &Bytes) {
   return true;
 }
 
-IoResult Connection::flushWrites(FaultInjector &Faults) {
+IoResult Connection::flushWrites() {
   while (writePending()) {
     size_t Len = WriteBuf.size() - WriteOff;
-    if (Faults.enabled())
-      Len = Faults.clampWrite(Len);
+    // Injected partial write: a strict prefix of at least one byte, so
+    // progress is still made (the slow path, not a livelock).
+    Len = fault::clampLen("net.write.partial", Len, 1);
     size_t NumWritten = 0;
     IoResult R =
         writeSome(Socket.get(), WriteBuf.data() + WriteOff, Len, NumWritten);
@@ -69,7 +76,7 @@ IoResult Connection::flushWrites(FaultInjector &Faults) {
     LastWriteProgressAt = Clock::now();
     // A fault-clamped short write yields the loop so the injected
     // fragmentation is visible to the peer as separate TCP segments.
-    if (Faults.enabled() && NumWritten == Len)
+    if (fault::enabled() && NumWritten == Len)
       return IoResult::Ok;
   }
   return IoResult::Ok;

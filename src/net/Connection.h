@@ -24,7 +24,6 @@
 #ifndef WEAVER_NET_CONNECTION_H
 #define WEAVER_NET_CONNECTION_H
 
-#include "net/FaultInjector.h"
 #include "net/Protocol.h"
 #include "support/Socket.h"
 
@@ -63,9 +62,9 @@ public:
 
   /// Drains the socket's receive buffer into the frame parser (one
   /// bounded gulp per call; the server's fairness cap decides how many
-  /// frames actually get processed). Fault injection may delay or
-  /// truncate the read.
-  ReadOutcome readAndParse(FaultInjector &Faults);
+  /// frames actually get processed). The net.read.delay and
+  /// net.read.truncate fault sites may delay or truncate the read.
+  ReadOutcome readAndParse();
 
   /// Pops the next complete request frame.
   bool nextFrame(Frame &Out) { return Parser.next(Out); }
@@ -82,10 +81,11 @@ public:
   /// response frame silently would violate exactly-once delivery.
   bool queueWrite(const std::string &Bytes);
 
-  /// Writes as much queued data as the socket accepts. Fault injection
-  /// may shorten individual writes. Returns Error on hard failure, Ok
-  /// otherwise (WouldBlock folds into Ok; poll's POLLOUT resumes us).
-  IoResult flushWrites(FaultInjector &Faults);
+  /// Writes as much queued data as the socket accepts. The
+  /// net.write.partial fault site may shorten individual writes. Returns
+  /// Error on hard failure, Ok otherwise (WouldBlock folds into Ok;
+  /// poll's POLLOUT resumes us).
+  IoResult flushWrites();
 
   bool writePending() const { return WriteBuf.size() > WriteOff; }
   size_t writeQueueBytes() const { return WriteBuf.size() - WriteOff; }

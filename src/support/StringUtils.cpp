@@ -54,8 +54,8 @@ std::string weaver::formatDouble(double Value) {
   return Out;
 }
 
-Expected<long long> weaver::parseBoundedInt(std::string_view Tok,
-                                            long long Min, long long Max) {
+Expected<long long> weaver::parseInt(std::string_view Tok, long long Min,
+                                     long long Max) {
   if (Tok.empty())
     return Expected<long long>::error("empty integer token");
   long long V = 0;

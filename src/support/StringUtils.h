@@ -56,24 +56,16 @@ std::string formatDouble(double Value);
 /// printf-style formatting into a std::string.
 std::string formatf(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Parses \p Tok as a decimal integer and validates [\p Min, \p Max].
-/// Rejects empty tokens, trailing garbage, and overflow — a hostile
-/// "99999999999999999999" is an error, never a silently clamped or
-/// wrapped value. Shared by the net frame codec and the compile_server
-/// line parser so both reject hostile numerics identically.
-Expected<long long> parseBoundedInt(std::string_view Tok, long long Min,
-                                    long long Max);
+/// Full-token, range-validated integer parse for untrusted input (argv,
+/// fault specs, config tokens): parses \p Tok as a decimal integer and
+/// validates [\p Min, \p Max]. Rejects empty tokens, trailing garbage,
+/// and overflow — a hostile "99999999999999999999" is an error, never a
+/// silently clamped or wrapped value.
+Expected<long long> parseInt(std::string_view Tok, long long Min,
+                             long long Max);
 
 /// Parses \p Tok as a finite double (no NaN/Inf, no trailing garbage).
 Expected<double> parseFiniteDouble(std::string_view Tok);
-
-/// Full-token, range-validated integer parse for untrusted input (argv,
-/// config tokens). Identical contract to parseBoundedInt; the short name
-/// is the one tools are expected to reach for.
-inline Expected<long long> parseInt(std::string_view Tok, long long Min,
-                                    long long Max) {
-  return parseBoundedInt(Tok, Min, Max);
-}
 
 /// Full-token finite-double parse validated against [\p Min, \p Max].
 /// Rejects NaN/Inf, trailing garbage, and out-of-range values — the

@@ -38,10 +38,10 @@ TEST(Backend, FactoryCoversEveryKindWithUniqueNames) {
 }
 
 TEST(Backend, FactoryByName) {
-  auto B = createBackend("weaver");
-  ASSERT_TRUE(B.ok()) << B.message();
-  EXPECT_EQ((*B)->name(), "weaver");
-  EXPECT_FALSE(createBackend("qiskit").ok());
+  auto Kind = backendKindFromName("weaver");
+  ASSERT_TRUE(Kind.ok()) << Kind.message();
+  EXPECT_EQ(createBackend(*Kind)->name(), "weaver");
+  EXPECT_FALSE(backendKindFromName("qiskit").ok());
 }
 
 // --- Retargeting one formula through every backend ----------------------
@@ -51,7 +51,7 @@ TEST(Backend, AllFiveBackendsCompileThePaperExample) {
   qaoa::QaoaParams Qaoa;
   for (BackendKind Kind : AllBackendKinds) {
     std::unique_ptr<Backend> B = createBackend(Kind);
-    BaselineResult R = B->compile(F, Qaoa);
+    BaselineResult R = B->compile(F, Qaoa).Metrics;
     EXPECT_EQ(R.Compiler, B->name());
     EXPECT_TRUE(R.usable()) << B->name();
     EXPECT_GT(R.Pulses, 0u) << B->name();
@@ -59,8 +59,23 @@ TEST(Backend, AllFiveBackendsCompileThePaperExample) {
   }
 }
 
+TEST(Backend, PreCancelledTokenCancelsEveryBackend) {
+  CancelToken Cancel;
+  Cancel.requestCancel();
+  for (BackendKind Kind : AllBackendKinds) {
+    std::unique_ptr<Backend> B = createBackend(Kind);
+    CompileOutput Out = B->compile(paperExample(), {}, &Cancel);
+    EXPECT_TRUE(Out.Cancelled) << B->name();
+    EXPECT_EQ(Out.Metrics.Diagnostic, CancelledDiagnostic) << B->name();
+    EXPECT_EQ(Out.Metrics.Compiler, B->name());
+    EXPECT_FALSE(Out.Program.has_value()) << B->name();
+  }
+}
+
 TEST(Backend, WeaverBackendExposesFpqaMetrics) {
-  BaselineResult R = WeaverBackend().compile(paperExample(), {});
+  CompileOutput Out = WeaverBackend().compile(paperExample(), {});
+  ASSERT_TRUE(Out.Program.has_value());
+  const BaselineResult &R = Out.Metrics;
   EXPECT_EQ(R.Colors, 2);            // Fig. 5 running example
   EXPECT_EQ(R.ThreeQubitGates, 6u);  // 3 clauses x 2 CCZ
   EXPECT_GT(R.Eps, 0.0);
@@ -71,14 +86,14 @@ TEST(Backend, WeaverBackendHonoursPerCallQaoaParams) {
   qaoa::QaoaParams OneLayer, TwoLayers;
   TwoLayers.Layers = 2;
   WeaverBackend B;
-  BaselineResult R1 = B.compile(paperExample(), OneLayer);
-  BaselineResult R2 = B.compile(paperExample(), TwoLayers);
+  BaselineResult R1 = B.compile(paperExample(), OneLayer).Metrics;
+  BaselineResult R2 = B.compile(paperExample(), TwoLayers).Metrics;
   EXPECT_GT(R2.Pulses, R1.Pulses);
 }
 
 TEST(Backend, WeaverBackendReportsWideClausesUnsupported) {
   CnfFormula F(4, {Clause{1, 2, 3, 4}});
-  BaselineResult R = WeaverBackend().compile(F, {});
+  BaselineResult R = WeaverBackend().compile(F, {}).Metrics;
   EXPECT_TRUE(R.Unsupported);
   EXPECT_FALSE(R.usable());
 }
@@ -119,7 +134,7 @@ TEST(BatchCompiler, ResultsMatchSequentialCompilationInOrder) {
 
   ASSERT_EQ(Threaded.size(), Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I) {
-    BaselineResult Direct = B.compile(Batch[I], {});
+    BaselineResult Direct = B.compile(Batch[I], {}).Metrics;
     // Deterministic metrics agree element-wise (wall-clock times differ).
     EXPECT_EQ(Threaded[I].Pulses, Direct.Pulses) << I;
     EXPECT_EQ(Threaded[I].Colors, Direct.Colors) << I;

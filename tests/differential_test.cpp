@@ -22,6 +22,7 @@
 #include "oq2/Export.h"
 #include "oq2/Frontend.h"
 #include "oq2/QaoaRecover.h"
+#include "qasm/Printer.h"
 #include "sat/Generator.h"
 
 #include <gtest/gtest.h>
@@ -95,6 +96,11 @@ std::string dumpMismatch(const std::string &Name, const std::string &Got,
   return Dir;
 }
 
+/// The printed program of \p Out, or "" for metric-only backends.
+std::string printed(const baselines::CompileOutput &Out) {
+  return Out.Program ? qasm::printWqasm(*Out.Program) : std::string();
+}
+
 } // namespace
 
 // --- Structural validity across all five backends ------------------------
@@ -105,11 +111,11 @@ TEST(Differential, AllBackendsProduceStructurallyValidResults) {
     for (BackendKind Kind : baselines::AllBackendKinds) {
       std::unique_ptr<baselines::Backend> B = baselines::createBackend(Kind);
       ASSERT_NE(B, nullptr);
-      baselines::CompileOutput Out = B->compileFull(F, Qaoa);
+      baselines::CompileOutput Out = B->compile(F, Qaoa);
       expectStructurallyValid(Out.Metrics, F, Kind);
       EXPECT_FALSE(Out.Cancelled);
       // Weaver is the only backend with a pulse-level program format.
-      EXPECT_EQ(Out.Wqasm.empty(), Kind != BackendKind::Weaver);
+      EXPECT_EQ(Out.Program.has_value(), Kind == BackendKind::Weaver);
     }
 }
 
@@ -120,7 +126,7 @@ TEST(Differential, ScalableBackendsHandleSatlibSizes) {
          {BackendKind::Superconducting, BackendKind::Atomique,
           BackendKind::Weaver}) {
       std::unique_ptr<baselines::Backend> B = baselines::createBackend(Kind);
-      expectStructurallyValid(B->compile(F, Qaoa), F, Kind,
+      expectStructurallyValid(B->compile(F, Qaoa).Metrics, F, Kind,
                               /*AllowEpsUnderflow=*/true);
     }
 }
@@ -143,8 +149,7 @@ TEST(Differential, ServiceWqasmByteIdenticalToDirectCacheOnAndOff) {
   baselines::WeaverBackend Direct;
   std::vector<std::string> Reference;
   for (const sat::CnfFormula &F : Grid)
-    Reference.push_back(
-        Direct.compileFull(F, qaoa::QaoaParams()).Wqasm);
+    Reference.push_back(printed(Direct.compile(F, qaoa::QaoaParams())));
 
   for (bool UseCache : {false, true}) {
     SCOPED_TRACE(UseCache ? "service cache on" : "service cache off");
@@ -239,9 +244,8 @@ TEST(Differential, Oq2IngestedCircuitCompilesIdenticallyOnEveryBackend) {
         SCOPED_TRACE(baselines::backendKindName(Kind));
         std::unique_ptr<baselines::Backend> B =
             baselines::createBackend(Kind);
-        baselines::CompileOutput Direct = B->compileFull(F, Qaoa);
-        baselines::CompileOutput ViaQasm =
-            B->compileFull(R->Formula, R->Params);
+        baselines::CompileOutput Direct = B->compile(F, Qaoa);
+        baselines::CompileOutput ViaQasm = B->compile(R->Formula, R->Params);
         EXPECT_EQ(Direct.Metrics.Pulses, ViaQasm.Metrics.Pulses);
         EXPECT_EQ(Direct.Metrics.TwoQubitGates,
                   ViaQasm.Metrics.TwoQubitGates);
@@ -252,11 +256,11 @@ TEST(Differential, Oq2IngestedCircuitCompilesIdenticallyOnEveryBackend) {
                   ViaQasm.Metrics.ExecutionSeconds);
         EXPECT_EQ(Direct.Metrics.Eps, ViaQasm.Metrics.Eps);
         EXPECT_EQ(Direct.Metrics.Colors, ViaQasm.Metrics.Colors);
-        if (Direct.Wqasm != ViaQasm.Wqasm) {
+        if (printed(Direct) != printed(ViaQasm)) {
           std::string Dir =
               dumpMismatch("oq2_" + std::string(
                                baselines::backendKindName(Kind)),
-                           ViaQasm.Wqasm, Direct.Wqasm);
+                           printed(ViaQasm), printed(Direct));
           FAIL() << "oq2-ingested program differs; dumped to " << Dir;
         }
       }

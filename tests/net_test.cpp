@@ -7,13 +7,13 @@
 /// The transport contract: every frame codec round-trips and rejects
 /// hostile payloads (truncated, trailing bytes, out-of-range fields);
 /// FrameParser reassembles byte-dribbled streams and poisons on corrupt
-/// length prefixes; the serve-mode line parser shares the frame
-/// validation; and an in-process net::Server enforces deadlines,
+/// length prefixes; and an in-process net::Server enforces deadlines,
 /// admission shedding, per-connection caps, slow-client disconnects,
 /// cancellation, graceful drain, and byte-identity of served wQASM vs a
-/// direct compile — including under seeded fault injection. The SIGTERM
-/// subprocess drain (exactly-once resolution plus a loadable cache
-/// snapshot) runs against the real weaver_serve binary.
+/// direct compile — including under seeded net.* fault injection. The
+/// SIGTERM subprocess drain (exactly-once resolution plus a loadable
+/// cache snapshot) and the WEAVER_FAULTS startup path run against the
+/// real weaver_serve binary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +21,10 @@
 #include "core/pipeline/PassCache.h"
 #include "net/Client.h"
 #include "net/Server.h"
+#include "qasm/Printer.h"
 #include "sat/Dimacs.h"
 #include "sat/Generator.h"
+#include "support/FaultInjection.h"
 
 #include "TestPaths.h"
 
@@ -35,6 +37,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <regex>
 #include <thread>
 
 #include <fcntl.h>
@@ -61,10 +64,23 @@ CompileFrame satlibRequest(uint64_t Id, int Vars = 20, int Index = 1) {
 /// Direct (no service, no cache) compile of the same satlib instance a
 /// request names — the byte-identity reference.
 std::string directWqasm(int Vars, int Index) {
-  baselines::WeaverBackend Direct;
-  return Direct
-      .compileFull(sat::satlibInstance(Vars, Index), qaoa::QaoaParams())
-      .Wqasm;
+  baselines::CompileOutput Out = baselines::WeaverBackend().compile(
+      sat::satlibInstance(Vars, Index), qaoa::QaoaParams());
+  return qasm::printWqasm(*Out.Program);
+}
+
+/// Resets the process-global fault engine when a test that configured
+/// it ends, pass or fail.
+struct GlobalFaultsGuard {
+  ~GlobalFaultsGuard() { fault::resetGlobal(); }
+};
+
+/// Fired count of \p Site on the global engine (0 if never consulted).
+uint64_t globalFired(std::string_view Site) {
+  for (const fault::SiteCount &C : fault::globalEngine().counters())
+    if (C.Site == Site)
+      return C.Fired;
+  return 0;
 }
 
 /// An in-process server on an ephemeral port, its poll loop on a
@@ -329,88 +345,45 @@ TEST(NetFrameParser, PartialFrameStaysPending) {
 
 // --- Serve-mode line parser ----------------------------------------------
 
-TEST(NetServeCommand, ParsesValidLines) {
-  auto C = parseServeCommand("compile weaver 20 3");
-  ASSERT_TRUE(C.ok()) << C.message();
-  EXPECT_EQ(C->Act, ServeCommand::Action::Compile);
-  EXPECT_EQ(C->Compile.NumVars, 20);
-  EXPECT_EQ(C->Compile.Index, 3);
-
-  C = parseServeCommand("compile atomique 50 2 0.9 0.1 5 2500");
-  ASSERT_TRUE(C.ok()) << C.message();
-  EXPECT_EQ(C->Compile.Kind, baselines::BackendKind::Atomique);
-  EXPECT_EQ(C->Compile.Gamma, 0.9);
-  EXPECT_EQ(C->Compile.Priority, 5);
-  EXPECT_EQ(C->Compile.DeadlineMs, 2500u);
-
-  C = parseServeCommand("cancel 42");
-  ASSERT_TRUE(C.ok()) << C.message();
-  EXPECT_EQ(C->Act, ServeCommand::Action::Cancel);
-  EXPECT_EQ(C->CancelId, 42u);
-
-  EXPECT_EQ(parseServeCommand("stats")->Act, ServeCommand::Action::Stats);
-  EXPECT_EQ(parseServeCommand("quit")->Act, ServeCommand::Action::Quit);
-  EXPECT_EQ(parseServeCommand("  exit  ")->Act, ServeCommand::Action::Quit);
-}
-
-TEST(NetServeCommand, RejectsHostileLines) {
-  // Unknown command / wrong arity.
-  EXPECT_FALSE(parseServeCommand("explode").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 20 3 0.7").ok());
-  // Unknown backend.
-  EXPECT_FALSE(parseServeCommand("compile quantum 20 3").ok());
-  // Overflowing / garbage / out-of-range numerics.
-  EXPECT_FALSE(
-      parseServeCommand("compile weaver 99999999999999999999 1").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver twenty 1").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 20 1 nan 0.3").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 20 1 inf 0.3").ok());
-  EXPECT_FALSE(parseServeCommand("compile weaver 0 1").ok());
-  EXPECT_FALSE(parseServeCommand("cancel -1").ok());
-  EXPECT_FALSE(parseServeCommand("cancel 1x").ok());
-  // Embedded NUL.
-  EXPECT_FALSE(parseServeCommand(std::string_view("stats\0", 6)).ok());
-  // A line past the cap, even if otherwise well-formed.
-  std::string Long = "compile weaver 20 1 ";
-  Long.append(MaxCommandLineBytes, ' ');
-  EXPECT_FALSE(parseServeCommand(Long).ok());
-  // Empty is not a command.
-  EXPECT_FALSE(parseServeCommand("").ok());
-}
-
 // --- Fault config ---------------------------------------------------------
 
 TEST(NetFaultConfig, ParsesAndValidates) {
-  auto C = parseFaultConfig("seed=7,kill=0.02,partial=0.3,delay=0.2,"
-                            "truncate=0.01");
+  // The transport faults are plain sites in the one fault grammar.
+  auto C = fault::parseConfig("seed=7;net.kill:p=0.02;net.write.partial:p=0.3;"
+                              "net.read.delay:p=0.2;net.read.truncate:p=0.01");
   ASSERT_TRUE(C.ok()) << C.message();
   EXPECT_EQ(C->Seed, 7u);
-  EXPECT_DOUBLE_EQ(C->KillProb, 0.02);
-  EXPECT_DOUBLE_EQ(C->TruncateProb, 0.01);
+  ASSERT_EQ(C->Sites.size(), 4u);
+  EXPECT_EQ(C->Sites[0].Pattern, "net.kill");
+  EXPECT_DOUBLE_EQ(C->Sites[0].Probability, 0.02);
+  EXPECT_DOUBLE_EQ(C->Sites[3].Probability, 0.01);
   EXPECT_TRUE(C->enabled());
 
-  EXPECT_FALSE(parseFaultConfig("kill=1.5").ok());   // probability > 1
-  EXPECT_FALSE(parseFaultConfig("kill=-0.1").ok());  // negative
-  EXPECT_FALSE(parseFaultConfig("kill=abc").ok());   // garbage
-  EXPECT_FALSE(parseFaultConfig("boom=0.5").ok());   // unknown key
-  EXPECT_FALSE(parseFaultConfig("kill").ok());       // missing value
+  // The retired comma-separated net grammar is an error, not a silently
+  // disabled config. Hostile values are support_test's to pin.
+  EXPECT_FALSE(fault::parseConfig("seed=7,partial=0.3,delay=0.2").ok());
 }
 
 TEST(NetFaultInjector, SameSeedSameDecisions) {
-  FaultConfig Config;
-  Config.Seed = 1234;
-  Config.KillProb = 0.1;
-  Config.PartialWriteProb = 0.5;
-  Config.DelayReadProb = 0.3;
-  Config.TruncateProb = 0.2;
-  FaultInjector A(Config), B(Config);
+  // A site's stream is seeded from (seed, site name) alone, so a private
+  // engine and the global one the server consults make the same
+  // decisions from the same config — the property that keeps seeded
+  // chaos reports stable.
+  const char *Spec = "seed=1234;net.kill:p=0.1;net.write.partial:p=0.5;"
+                     "net.read.delay:p=0.3;net.read.truncate:p=0.2";
+  fault::Engine Private(fault::parseConfig(Spec).take());
+  GlobalFaultsGuard Guard;
+  ASSERT_FALSE(fault::configureGlobal(Spec));
   for (int I = 0; I < 1000; ++I) {
-    EXPECT_EQ(A.shouldKill(), B.shouldKill());
-    EXPECT_EQ(A.shouldDelayRead(), B.shouldDelayRead());
-    EXPECT_EQ(A.clampWrite(4096), B.clampWrite(4096));
-    EXPECT_EQ(A.clampRead(4096), B.clampRead(4096));
+    EXPECT_EQ(Private.decide("net.kill").Fire, fault::fire("net.kill"));
+    EXPECT_EQ(Private.decide("net.read.delay").Fire,
+              fault::fire("net.read.delay"));
+    EXPECT_EQ(Private.clampLen("net.write.partial", 4096, 1),
+              fault::clampLen("net.write.partial", 4096, 1));
+    EXPECT_EQ(Private.clampLen("net.read.truncate", 4096, 0),
+              fault::clampLen("net.read.truncate", 4096, 0));
   }
+  EXPECT_GT(globalFired("net.write.partial"), 0u);
 }
 
 // --- In-process server: happy path and byte identity ----------------------
@@ -578,7 +551,6 @@ TEST(NetServer, FullQueueShedsWithBackoffHint) {
   ServerOptions Opt;
   Opt.Service.NumThreads = 1;
   Opt.Service.QueueCapacity = 1;
-  Opt.Service.Deduplicate = false;
   Opt.MaxInFlightPerConnection = 64;
   TestServer S(Opt);
   Client C = makeClient(S);
@@ -636,7 +608,6 @@ TEST(NetServer, PerConnectionInFlightCapSheds) {
   ServerOptions Opt;
   Opt.Service.NumThreads = 1;
   Opt.Service.QueueCapacity = 256;
-  Opt.Service.Deduplicate = false;
   Opt.MaxInFlightPerConnection = 2;
   TestServer S(Opt);
   Client C = makeClient(S);
@@ -769,14 +740,13 @@ TEST(NetServer, DrainDeliversInFlightResultsThenGoingAway) {
 // --- In-process server: fault injection -----------------------------------
 
 TEST(NetServer, SurvivesFaultInjectionWithByteIdentity) {
-  ServerOptions Opt;
-  Opt.Faults.Seed = 42;
-  Opt.Faults.PartialWriteProb = 0.5;
-  Opt.Faults.DelayReadProb = 0.3;
   // No kills/truncation here: every request must survive, and the test
-  // asserts all of them — kill recovery is load_gen's and the smoke
+  // asserts all of them — kill recovery is chaos_sweep's and the smoke
   // script's job.
-  TestServer S(Opt);
+  GlobalFaultsGuard Guard;
+  ASSERT_FALSE(fault::configureGlobal(
+      "seed=42;net.write.partial:p=0.5;net.read.delay:p=0.3"));
+  TestServer S;
   Client C = makeClient(S);
   ASSERT_FALSE(C.connect());
 
@@ -788,8 +758,8 @@ TEST(NetServer, SurvivesFaultInjectionWithByteIdentity) {
     EXPECT_EQ(R->Wqasm, Reference)
         << "request " << Id << " corrupted under write fragmentation";
   }
-  EXPECT_GT((*S).faultStats().PartialWrites, 0u)
-      << "fault injector never fired; test is vacuous";
+  EXPECT_GT(globalFired("net.write.partial"), 0u)
+      << "net.write.partial never fired; test is vacuous";
 }
 
 // --- Subprocess: SIGTERM drain of the real daemon -------------------------
@@ -797,10 +767,12 @@ TEST(NetServer, SurvivesFaultInjectionWithByteIdentity) {
 #ifdef WEAVER_SERVE_BIN
 namespace {
 
-/// Spawns weaver_serve with stdout redirected to \p LogPath; returns the
+/// Spawns weaver_serve with stdout redirected to \p LogPath and, when
+/// \p FaultsEnv is set, WEAVER_FAULTS in its environment; returns the
 /// child pid or -1.
 pid_t spawnServe(const std::vector<std::string> &Args,
-                 const std::string &LogPath) {
+                 const std::string &LogPath,
+                 const char *FaultsEnv = nullptr) {
   // The scratch dir persists across runs; a stale log from a previous
   // run would let waitForPort() race the child's O_TRUNC and hand back
   // the dead port of the last daemon.
@@ -814,6 +786,8 @@ pid_t spawnServe(const std::vector<std::string> &Args,
     ::dup2(LogFd, STDOUT_FILENO);
     ::close(LogFd);
   }
+  if (FaultsEnv)
+    ::setenv("WEAVER_FAULTS", FaultsEnv, 1);
   std::vector<char *> Argv;
   Argv.push_back(const_cast<char *>(WEAVER_SERVE_BIN));
   for (const std::string &A : Args)
@@ -849,6 +823,18 @@ uint16_t waitForPort(const std::string &LogPath) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   return 0;
+}
+
+/// Waits up to a minute for \p Pid to exit; returns its wait status, or
+/// -1 if it is still running (the caller's ServeGuard then kills it).
+int waitForExit(pid_t Pid) {
+  for (int I = 0; I < 600; ++I) {
+    int WaitStatus = 0;
+    if (::waitpid(Pid, &WaitStatus, WNOHANG) == Pid)
+      return WaitStatus;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  return -1;
 }
 
 } // namespace
@@ -928,37 +914,62 @@ TEST(NetServeProcess, SigtermDrainResolvesEveryRequestOnceAndFlushesCache) {
   EXPECT_FALSE(Loaded) << Loaded.message();
   EXPECT_GT(Cache.size(), 0u);
 }
-#endif // WEAVER_SERVE_BIN
-
-#ifdef WEAVER_COMPILE_SERVER_BIN
-TEST(NetServeProcess, ServeModeLineProtocolRejectsHostileInputAndExitsClean) {
+TEST(NetServeProcess, FaultsEnvInUnifiedGrammarServesAndFires) {
   std::string Dir = testTempDir();
-  std::string Script = Dir + "/lines.txt";
-  {
-    std::ofstream Out(Script);
-    Out << "compile weaver 20 1\n"
-        << "explode\n"
-        << "compile weaver 99999999999999999999 1\n"
-        << "compile weaver 20 1 nan 0.3\n"
-        << "compile quantum 20 1\n"
-        << "stats\n"
-        << "quit\n";
+  std::string LogFile = Dir + "/serve-faults.log";
+  // The documented WEAVER_FAULTS grammar, mixing a service site with a
+  // transport site: the daemon must install it, not reject it.
+  pid_t Pid = spawnServe(
+      {"--port", "0", "--threads", "1"}, LogFile,
+      "seed=42;service.job.hang:p=0.2,delay_ms=50;net.write.partial:p=0.5");
+  ASSERT_GT(Pid, 0);
+  ServeGuard Guard{Pid};
+  uint16_t Port = waitForPort(LogFile);
+  ASSERT_NE(Port, 0) << "daemon rejected a unified-grammar WEAVER_FAULTS";
+
+  ClientOptions Opt;
+  Opt.Port = Port;
+  Client C(Opt);
+  ASSERT_FALSE(C.connect());
+  std::string Reference = directWqasm(20, 1);
+  for (uint64_t Id = 1; Id <= 6; ++Id) {
+    auto R = C.compileSync(satlibRequest(Id, 20, 1));
+    ASSERT_TRUE(R.ok()) << R.message();
+    ASSERT_EQ(R->Code, ResponseCode::Ok) << R->Diagnostic;
+    EXPECT_EQ(R->Wqasm, Reference);
   }
-  std::string Cmd = std::string(WEAVER_COMPILE_SERVER_BIN) +
-                    " --serve < " + Script + " 2>&1";
-  FILE *Pipe = popen(Cmd.c_str(), "r");
-  ASSERT_NE(Pipe, nullptr);
-  std::string Output;
-  char Buf[4096];
-  size_t NumRead;
-  while ((NumRead = fread(Buf, 1, sizeof(Buf), Pipe)) > 0)
-    Output.append(Buf, NumRead);
-  int Rc = pclose(Pipe);
-  EXPECT_TRUE(WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0)
-      << "compile_server exit status " << Rc << "\n" << Output;
-  // One compile completed; each hostile line produced a diagnostic
-  // rather than a crash or a silently defaulted request.
-  EXPECT_NE(Output.find("completed"), std::string::npos) << Output;
-  EXPECT_NE(Output.find("error"), std::string::npos) << Output;
+
+  ASSERT_EQ(::kill(Pid, SIGTERM), 0);
+  int WaitStatus = waitForExit(Pid);
+  ASSERT_NE(WaitStatus, -1) << "daemon did not drain";
+  Guard.disarm();
+  EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) == 0)
+      << "daemon exit status " << WaitStatus;
+  std::ifstream In(LogFile);
+  std::string Log((std::istreambuf_iterator<char>(In)), {});
+  EXPECT_TRUE(std::regex_search(
+      Log, std::regex("\ndrained:.* net\\.write\\.partial=[1-9]")))
+      << "drained line lacks a fired net.write.partial count:\n" << Log;
 }
-#endif // WEAVER_COMPILE_SERVER_BIN
+
+TEST(NetServeProcess, MalformedFaultSpecIsFatal) {
+  std::string Dir = testTempDir();
+  // The retired comma grammar from the environment, and garbage from the
+  // flag: both must stop the daemon before it serves anything.
+  for (int Variant = 0; Variant < 2; ++Variant) {
+    std::string LogFile = Dir + "/serve-bad-" + std::to_string(Variant);
+    pid_t Pid =
+        Variant == 0
+            ? spawnServe({"--port", "0"}, LogFile, "seed=7,partial=0.3")
+            : spawnServe({"--port", "0", "--faults", "net.kill:p=2"},
+                         LogFile);
+    ASSERT_GT(Pid, 0);
+    ServeGuard Guard{Pid};
+    int WaitStatus = waitForExit(Pid);
+    ASSERT_NE(WaitStatus, -1) << "daemon kept running on a bad spec";
+    Guard.disarm();
+    EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) != 0)
+        << "variant " << Variant << " exit status " << WaitStatus;
+  }
+}
+#endif // WEAVER_SERVE_BIN

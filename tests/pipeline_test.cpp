@@ -92,16 +92,17 @@ TEST_P(GoldenParity, NoReuseOutputIsByteIdentical) {
 }
 
 TEST_P(GoldenParity, DirectCodegenMatchesGolden) {
-  // The generateFpqaProgram entry point (caller-supplied colouring) must
-  // produce the same bytes as the full pipeline and the golden capture.
+  // A caller-supplied colouring (Ctx.HasColoring) driven straight through
+  // the PassManager must produce the same bytes as compileWeaver and the
+  // golden capture.
   CnfFormula F = goldenFormula(GetParam());
-  ClauseColoring Coloring = colorClausesDSatur(F);
-  fpqa::HardwareParams Hw;
-  CodegenOptions Options;
-  Options.UseCompression = Hw.cczCompressionProfitable();
-  auto R = generateFpqaProgram(F, Coloring, Hw, Options);
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_EQ(qasm::printWqasm(R->Program),
+  CompilationContext Ctx;
+  Ctx.Formula = &F;
+  Ctx.Coloring = colorClausesDSatur(F);
+  Ctx.HasColoring = true;
+  Ctx.Options.UseCompression = Ctx.Hw.cczCompressionProfitable();
+  ASSERT_TRUE(PassManager::standardFpqaPipeline().run(Ctx).ok());
+  EXPECT_EQ(qasm::printWqasm(Ctx.Program),
             readGolden("golden_seed" + std::to_string(GetParam()) +
                        ".wqasm"));
 }

@@ -139,6 +139,23 @@ TEST(StringUtils, Formatf) {
   EXPECT_EQ(formatf("%.2f", 1.005), "1.00");
 }
 
+TEST(StringUtils, ParseIntAndDoubleRejectHostileTokens) {
+  EXPECT_EQ(*parseInt("42", 0, 100), 42);
+  EXPECT_EQ(*parseInt("-7", -10, 10), -7);
+  EXPECT_FALSE(parseInt("99999999999999999999", 0, 100).ok()); // overflow
+  EXPECT_FALSE(parseInt("twenty", 0, 100).ok());
+  EXPECT_FALSE(parseInt("1x", 0, 100).ok()); // trailing garbage
+  EXPECT_FALSE(parseInt("", 0, 100).ok());
+  EXPECT_FALSE(parseInt("101", 0, 100).ok()); // out of range
+  EXPECT_FALSE(parseInt(std::string_view("1\0", 2), 0, 100).ok());
+
+  EXPECT_DOUBLE_EQ(*parseDouble("0.25", 0.0, 1.0), 0.25);
+  EXPECT_FALSE(parseDouble("nan", 0.0, 1.0).ok());
+  EXPECT_FALSE(parseDouble("inf", 0.0, 1.0).ok());
+  EXPECT_FALSE(parseDouble("1.5", 0.0, 1.0).ok());
+  EXPECT_FALSE(parseDouble("0.3x", 0.0, 1.0).ok());
+}
+
 TEST(Rng, SplitMix64IsDeterministic) {
   SplitMix64 A(123), B(123);
   for (int I = 0; I < 100; ++I)

@@ -36,6 +36,7 @@
 #include "core/service/CompileService.h"
 #include "net/Client.h"
 #include "net/Server.h"
+#include "qasm/Printer.h"
 #include "sat/Generator.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
@@ -91,9 +92,9 @@ std::vector<std::string> baselineWqasm(const std::vector<Point> &W) {
   baselines::WeaverBackend Direct;
   std::vector<std::string> Out;
   for (const Point &P : W)
-    Out.push_back(
-        Direct.compileFull(sat::satlibInstance(P.Vars, P.Index), qaoaFor(P))
-            .Wqasm);
+    Out.push_back(qasm::printWqasm(
+        *Direct.compile(sat::satlibInstance(P.Vars, P.Index), qaoaFor(P))
+             .Program));
   return Out;
 }
 
@@ -163,7 +164,7 @@ int runDisk(uint64_t Seed, const std::vector<Point> &W,
     WOpt.Cache = &Ref;
     baselines::WeaverBackend B(WOpt);
     for (const Point &P : W)
-      B.compileFull(sat::satlibInstance(P.Vars, P.Index), qaoaFor(P));
+      B.compile(sat::satlibInstance(P.Vars, P.Index), qaoaFor(P));
     Status S = Ref.saveSnapshot(Target);
     if (S) {
       std::fprintf(stderr, "error: reference save failed: %s\n",
@@ -200,7 +201,7 @@ int runDisk(uint64_t Seed, const std::vector<Point> &W,
     WOpt.Cache = &Cache;
     baselines::WeaverBackend B(WOpt);
     for (const Point &Pt : W)
-      B.compileFull(sat::satlibInstance(Pt.Vars, Pt.Index), qaoaFor(Pt));
+      B.compile(sat::satlibInstance(Pt.Vars, Pt.Index), qaoaFor(Pt));
     check(Cache.size() == RefEntries,
           "cycle cache holds the full workload entry set");
     if (Cache.saveSnapshot(Target))
@@ -375,18 +376,23 @@ int runHang(uint64_t Seed, const std::vector<Point> &W,
 int runNet(uint64_t Seed, const std::vector<Point> &W,
            const std::vector<std::string> &Baseline) {
   Uniform U(Seed);
-  net::ServerOptions SrvOpt;
-  SrvOpt.Faults.Seed = Seed;
-  SrvOpt.Faults.PartialWriteProb = 0.30 + 0.30 * U();
-  SrvOpt.Faults.DelayReadProb = 0.20 + 0.20 * U();
-  SrvOpt.Faults.KillProb = 0.02 * U();
-  SrvOpt.Service.NumThreads = 1;
+  // Braced-list elements evaluate in order, so the three draws keep their
+  // partial/delay/kill sequence.
+  fault::Config Faults{Seed,
+                       {{"net.write.partial", 0.30 + 0.30 * U()},
+                        {"net.read.delay", 0.20 + 0.20 * U()},
+                        {"net.kill", 0.02 * U()}}};
   std::printf("schedule: seed=%llu;net.write.partial:p=%.3f;"
               "net.read.delay:p=%.3f;net.kill:p=%.3f\n",
               static_cast<unsigned long long>(Seed),
-              SrvOpt.Faults.PartialWriteProb, SrvOpt.Faults.DelayReadProb,
-              SrvOpt.Faults.KillProb);
+              Faults.Sites[0].Probability, Faults.Sites[1].Probability,
+              Faults.Sites[2].Probability);
+  // Installed with full-precision probabilities, not the printed
+  // three-digit ones; main() resets the global engine afterwards.
+  fault::configureGlobal(std::move(Faults));
 
+  net::ServerOptions SrvOpt;
+  SrvOpt.Service.NumThreads = 1;
   net::Server Server(SrvOpt);
   if (Status S = Server.start()) {
     std::fprintf(stderr, "error: server start: %s\n", S.message().c_str());

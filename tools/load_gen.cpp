@@ -30,6 +30,7 @@
 
 #include "baselines/Backend.h"
 #include "net/Client.h"
+#include "qasm/Printer.h"
 #include "sat/Generator.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
@@ -185,9 +186,12 @@ int main(int Argc, char **Argv) {
       Qaoa.Gamma = F.Gamma;
       Qaoa.Beta = F.Beta;
       Qaoa.Layers = F.Layers;
-      baselines::CompileOutput Ref = Direct->compileFull(
-          sat::satlibInstance(F.NumVars, F.Index), Qaoa);
-      It = References.emplace(Key, std::move(Ref.Wqasm)).first;
+      baselines::CompileOutput Ref =
+          Direct->compile(sat::satlibInstance(F.NumVars, F.Index), Qaoa);
+      It = References
+               .emplace(Key, Ref.Program ? qasm::printWqasm(*Ref.Program)
+                                         : std::string())
+               .first;
     }
     return It->second;
   };

@@ -157,6 +157,6 @@ int main(int Argc, char **Argv) {
 
   std::unique_ptr<baselines::Backend> Backend =
       baselines::createBackend(*Kind);
-  printResult(Backend->compile(R->Formula, R->Params));
+  printResult(Backend->compile(R->Formula, R->Params).Metrics);
   return 0;
 }

@@ -20,13 +20,21 @@
 ///                  [--max-connections N] [--max-inflight N]
 ///                  [--faults SPEC]
 ///
-/// --faults (or the WEAVER_FAULTS environment variable) enables the
-/// seeded fault injector, e.g. "seed=7,kill=0.02,partial=0.3,delay=0.2".
+/// --faults SPEC (or the WEAVER_FAULTS environment variable; the flag
+/// wins) installs a seeded fault schedule on the global engine, in the
+/// support/FaultInjection grammar. The transport sites are net.kill,
+/// net.write.partial, net.read.delay and net.read.truncate, e.g.
+///
+///     --faults 'seed=7;net.write.partial:p=0.3;net.read.delay:p=0.2'
+///
+/// A malformed spec from either source is a fatal usage error. The
+/// drained line reports the fired count of every net.* site consulted.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "net/Server.h"
 
+#include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
 #include <csignal>
@@ -76,9 +84,11 @@ double argDouble(const std::string &Flag, const char *Text, double Min,
 int main(int Argc, char **Argv) {
   net::ServerOptions Options;
   Options.StopFlag = &StopFlag;
+  if (Status S = fault::initGlobalFromEnv()) {
+    std::fprintf(stderr, "error: %s\n", S.message().c_str());
+    return 1;
+  }
   std::string FaultSpec;
-  if (const char *Env = std::getenv("WEAVER_FAULTS"))
-    FaultSpec = Env;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -116,16 +126,13 @@ int main(int Argc, char **Argv) {
   }
 
   if (!FaultSpec.empty()) {
-    auto Config = net::parseFaultConfig(FaultSpec);
-    if (!Config) {
-      std::fprintf(stderr, "error: %s\n", Config.message().c_str());
+    if (Status S = fault::configureGlobal(FaultSpec)) {
+      std::fprintf(stderr, "error: --faults: %s\n", S.message().c_str());
       return 1;
     }
-    Options.Faults = *Config;
-    if (Options.Faults.enabled())
-      std::fprintf(stderr, "fault injection enabled: %s\n",
-                   FaultSpec.c_str());
   }
+  if (fault::enabled())
+    std::fprintf(stderr, "fault injection enabled\n");
 
   struct sigaction Sa = {};
   Sa.sa_handler = onSignal;
@@ -147,15 +154,18 @@ int main(int Argc, char **Argv) {
 
   net::TransportStats T = Server.transportStats();
   std::printf("drained: accepted=%llu frames_in=%llu results=%llu "
-              "shed=%llu malformed=%llu slow_drops=%llu "
-              "injected_kills=%llu\n",
+              "shed=%llu malformed=%llu slow_drops=%llu",
               static_cast<unsigned long long>(T.Accepted),
               static_cast<unsigned long long>(T.FramesIn),
               static_cast<unsigned long long>(T.ResultsSent),
               static_cast<unsigned long long>(T.Shed),
               static_cast<unsigned long long>(T.MalformedFrames),
-              static_cast<unsigned long long>(T.SlowClientDrops),
-              static_cast<unsigned long long>(T.InjectedKills));
+              static_cast<unsigned long long>(T.SlowClientDrops));
+  for (const fault::SiteCount &C : fault::globalEngine().counters())
+    if (startsWith(C.Site, "net."))
+      std::printf(" %s=%llu", C.Site.c_str(),
+                  static_cast<unsigned long long>(C.Fired));
+  std::printf("\n");
   std::printf("%s", Server.service().statsTable().render().c_str());
   std::fflush(stdout);
   if (RunStatus) {

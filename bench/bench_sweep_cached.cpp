@@ -11,6 +11,8 @@
 ///    builds the colouring/zone-plan entry and the program template; the
 ///    remaining nine restore and angle-patch instead of recompiling.
 ///    Output is byte-identical either way (tests/pass_cache_test.cpp).
+///    BM_TemplateSplice measures a served hit: compile plus a spliced
+///    print of the template's text.
 ///
 ///  * DSatur: selection cost growth of the bucketed rewrite on generated
 ///    instances up to ~2k clauses — clearly sub-quadratic, against the
@@ -93,10 +95,9 @@ void BM_SweepCached(benchmark::State &State) {
 }
 BENCHMARK(BM_SweepCached)->Arg(50)->Arg(100)->Arg(250)->Complexity();
 
-/// Single compile on a warm program-template cache: copy + angle-patch
-/// the template and re-index the pulse stream. The stream index is now a
-/// vector of non-owning pointers into the program, so a hit pays one
-/// annotation copy (the template instantiation), not two.
+/// Single compileWeaver on a warm program-template cache: the result
+/// owns its program, so a hit pays one copy of the template plus the
+/// angle patch.
 void BM_CachedInstantiation(benchmark::State &State) {
   sat::CnfFormula F =
       sat::satlibInstance(static_cast<int>(State.range(0)), 1);
@@ -113,6 +114,36 @@ void BM_CachedInstantiation(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CachedInstantiation)->Arg(100)->Arg(250);
+
+/// What the compile service does for a program-tier hit: a compile
+/// through WeaverBackend (no program copy) plus print(), a splice of the
+/// template's pre-rendered text. Compare with BM_CachedInstantiation plus
+/// bench_pulses' BM_PrintWqasm, the copy-patch-print path it replaces.
+/// The template renders once, in the warm-up, outside the timed loop.
+void BM_TemplateSplice(benchmark::State &State) {
+  sat::CnfFormula F =
+      sat::satlibInstance(static_cast<int>(State.range(0)), 1);
+  core::pipeline::PassCache Cache;
+  core::WeaverOptions Opt;
+  Opt.Cache = &Cache;
+  baselines::WeaverBackend Backend(Opt);
+  qaoa::QaoaParams Q;
+  Backend.compile(F, Q); // builds the template entry
+  Q.Gamma = 0.9;
+  Q.Beta = 0.35;
+  benchmark::DoNotOptimize(Backend.compile(F, Q).Program->print());
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    baselines::CompileOutput Out = Backend.compile(F, Q);
+    std::string Text = Out.Program->print();
+    Bytes = Text.size();
+    benchmark::DoNotOptimize(Text.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations() * Bytes));
+  State.counters["wqasm_bytes"] = static_cast<double>(Bytes);
+}
+BENCHMARK(BM_TemplateSplice)->Arg(250);
 
 /// DSatur cost against clause count at the SATLIB clause/variable ratio.
 /// The O(N^2) reference would grow 64x from 250 to 2000 clauses; the

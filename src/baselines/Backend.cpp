@@ -99,34 +99,8 @@ CompileOutput AtomiqueBackend::compile(const sat::CnfFormula &Formula,
                      [&] { return compileAtomique(Formula, Qaoa, Params); });
 }
 
-CompileOutput WeaverBackend::compile(const sat::CnfFormula &Formula,
-                                     const qaoa::QaoaParams &Qaoa,
-                                     const CancelToken *Cancel) const {
-  core::WeaverOptions Opt = Options;
-  Opt.Qaoa = Qaoa;
-  Opt.Cancel = Cancel;
-  CompileOutput Out;
-  auto W = core::compileWeaver(Formula, Opt);
-  if (!W) {
-    Out.Metrics.Compiler = name();
-    if (isCancelledStatus(W.status())) {
-      Out.Cancelled = true;
-      Out.Metrics.Diagnostic = CancelledDiagnostic;
-    } else {
-      // Malformed formulas (clause wider than three literals) and
-      // pipeline failures both land here; keep the message so drivers
-      // can tell a bad input from a compiler bug.
-      Out.Metrics.Unsupported = true;
-      Out.Metrics.Diagnostic = W.message();
-    }
-    return Out;
-  }
-  Out.Metrics = toBaselineResult(*W);
-  Out.FrontHalfFromCache = W->FrontHalfFromCache;
-  Out.ProgramFromCache = W->ProgramFromCache;
-  Out.Program = std::move(W->Program);
-  return Out;
-}
+// WeaverBackend::compile is defined in core/WeaverCompiler.cpp, next to
+// the pipeline driver it shares with compileWeaver.
 
 CompileOutput DpqaBackend::compile(const sat::CnfFormula &Formula,
                                    const qaoa::QaoaParams &Qaoa,

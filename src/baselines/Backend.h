@@ -24,6 +24,7 @@
 #include "baselines/Result.h"
 #include "baselines/Superconducting.h"
 #include "core/WeaverCompiler.h"
+#include "core/pipeline/PassCache.h"
 #include "qaoa/Builder.h"
 #include "qasm/Program.h"
 #include "sat/Cnf.h"
@@ -40,14 +41,16 @@ namespace baselines {
 
 /// The full artefact of one compile: uniform metrics, the emitted wQASM
 /// program for backends that produce one (only Weaver today), and the
-/// cache/cancellation disposition. The program is returned unprinted;
-/// callers that want text print it (CompileService, verifying drivers),
+/// cache/cancellation disposition. The program is returned unprinted and
+/// uncopied, as an instance of the compile's program sections; callers
+/// that want text call print() (CompileService, which splices cached
+/// templates), verifying drivers materialize() and print independently,
 /// metric-only callers just drop it.
 struct CompileOutput {
   BaselineResult Metrics;
   /// Emitted program; empty for backends without a pulse-level output
   /// format and for failed or cancelled compiles.
-  std::optional<qasm::WqasmProgram> Program;
+  std::optional<core::pipeline::ProgramInstance> Program;
   /// The compile observed its CancelToken and aborted.
   bool Cancelled = false;
   /// PassCache tier diagnostics (Weaver only; see WeaverResult).

@@ -130,14 +130,14 @@ bool circuit::parseGateName(std::string_view Name, GateKind &Kind) {
   return false;
 }
 
-void Gate::appendTo(std::string &Out) const {
+void Gate::appendTo(std::string &Out, TextSpan *Param0) const {
   Out += gateName(Kind);
   if (numParams() > 0) {
     Out += '(';
     for (unsigned I = 0, E = numParams(); I < E; ++I) {
       if (I)
         Out += ", ";
-      appendDouble(Out, ParamStorage[I]);
+      appendDouble(Out, ParamStorage[I], I == 0 ? Param0 : nullptr);
     }
     Out += ')';
   }

@@ -18,6 +18,8 @@
 #ifndef WEAVER_CIRCUIT_GATE_H
 #define WEAVER_CIRCUIT_GATE_H
 
+#include "support/StringUtils.h"
+
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -146,8 +148,9 @@ public:
   }
 
   /// Appends "cz q[0], q[1]"-style text (the OpenQASM 3 statement without
-  /// its ';') to \p Out.
-  void appendTo(std::string &Out) const;
+  /// its ';') to \p Out. When \p Param0 is non-null it receives where
+  /// parameter 0 was printed (left untouched for parameterless gates).
+  void appendTo(std::string &Out, TextSpan *Param0 = nullptr) const;
 
   /// Returns appendTo's text, e.g. for diagnostics.
   std::string str() const;

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,19 +113,25 @@ struct PassTiming {
 /// relies on for byte-identical output.
 struct AngleSlot {
   enum class Param : uint8_t { Gamma, Beta };
-  enum class Field : uint8_t {
-    GateParam0,  ///< Statements[Statement].Gate parameter 0
-    AnnotationX, ///< Statements[Statement].Annotations[Annotation].AngleX
-    AnnotationZ, ///< Statements[Statement].Annotations[Annotation].AngleZ
-  };
+  using Field = qasm::AngleRef::Field;
   uint32_t Statement = 0;
   uint32_t Annotation = 0; ///< meaningful unless Field == GateParam0
   Field Where = Field::GateParam0;
   Param Dep = Param::Gamma;
   double Coeff = 0;
+
+  /// The slot's value at a parameter point. The one multiplication both
+  /// template instantiations (patchProgramAngles and the text splice)
+  /// use, so they agree with direct emission bit for bit.
+  double valueAt(double Gamma, double Beta) const {
+    return Coeff * (Dep == Param::Gamma ? Gamma : Beta);
+  }
+  /// The program field the slot lives in.
+  qasm::AngleRef ref() const { return {Statement, Annotation, Where}; }
 };
 
 class PassCache;
+struct ProgramSections;
 
 /// All state shared between the pipeline passes. Inputs are set by the
 /// driver before PassManager::run; each pass fills its output section.
@@ -168,12 +175,15 @@ struct CompilationContext {
   /// records where every gamma/beta-dependent angle lives in Program.
   bool CollectAngleSlots = false;
   std::vector<AngleSlot> AngleSlots;
+  /// Set when a run through a PassCache produced a program: the template
+  /// this compile instantiates at Options.Qaoa's gamma/beta. On a
+  /// program-tier hit it is the cached template; on a miss PassManager
+  /// moves Program (and AngleSlots) into it, so Program is left empty
+  /// either way. Runs without a cache leave it null and the program in
+  /// Program.
+  std::shared_ptr<const ProgramSections> Template;
 
   // --- PulseEmissionPass ------------------------------------------------
-  /// Non-owning view of Program's annotations in execution order; valid as
-  /// long as Program is not mutated (the annotations themselves are never
-  /// copied out of the program).
-  std::vector<const qasm::Annotation *> PulseStream;
   fpqa::PulseStats Stats;
   bool HasStats = false;
 

@@ -904,10 +904,8 @@ Status GateLoweringPass::run(CompilationContext &Ctx) {
   return E.run();
 }
 
-void GateLoweringPass::saveSections(const CompilationContext &Ctx,
+void GateLoweringPass::saveSections(const CompilationContext &,
                                     PassCacheEntryBuilder &Builder) const {
-  Builder.Back.Program = Ctx.Program;
-  Builder.Back.AngleSlots = Ctx.AngleSlots;
   Builder.SavedProgram = true;
 }
 
@@ -915,8 +913,6 @@ bool GateLoweringPass::restoreSections(const PassCacheEntry &Entry,
                                        CompilationContext &Ctx) const {
   if (!Entry.Back)
     return false;
-  Ctx.Program = Entry.Back->Program;
-  patchProgramAngles(Ctx.Program, Entry.Back->AngleSlots,
-                     Ctx.Options.Qaoa.Gamma, Ctx.Options.Qaoa.Beta);
+  Ctx.Template = Entry.Back;
   return true;
 }

@@ -40,8 +40,11 @@ public:
   /// At fixed non-angle inputs the emitted program is a template: gamma
   /// and beta appear only as exact power-of-two multiples at positions the
   /// emitter records (Ctx.AngleSlots when Ctx.CollectAngleSlots is set).
-  /// Restoring copies the cached template and patches the slots, which is
-  /// bit-identical to re-emission.
+  /// Saving only marks the program cacheable: PassManager moves it into
+  /// the cache entry once the pipeline is done with it. Restoring shares
+  /// the cached template (Ctx.Template) without copying it; the compile's
+  /// gamma/beta are applied when the program is printed or materialized
+  /// (see ProgramInstance), bit-identically to re-emission.
   void saveSections(const CompilationContext &Ctx,
                     PassCacheEntryBuilder &Builder) const override;
   bool restoreSections(const PassCacheEntry &Entry,

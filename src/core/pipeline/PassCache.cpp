@@ -6,6 +6,9 @@
 
 #include "core/pipeline/PassCache.h"
 
+#include "qasm/Printer.h"
+
+#include <algorithm>
 #include <cstring>
 
 using namespace weaver;
@@ -175,15 +178,14 @@ PassCache::insertFront(const PassCacheKey &Key, FrontHalfSections Sections) {
 void PassCache::insertProgram(const PassCacheKey &Key,
                               const PassCacheKey &FrontKey,
                               std::shared_ptr<const FrontHalfSections> Front,
-                              ProgramSections Sections) {
+                              std::shared_ptr<const ProgramSections> Sections) {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (const auto *Cell =
           findExact<std::shared_ptr<ProgramCell>>(ProgramMap, Key)) {
     if ((*Cell)->Value)
       return;
     // Unparseable snapshot slot: refill it in place.
-    (*Cell)->Value =
-        std::make_shared<const ProgramSections>(std::move(Sections));
+    (*Cell)->Value = std::move(Sections);
     if (!(*Cell)->Front->Value)
       (*Cell)->Front->Value = std::move(Front);
     return;
@@ -206,7 +208,7 @@ void PassCache::insertProgram(const PassCacheKey &Key,
   }
   auto PCell = std::make_shared<ProgramCell>();
   PCell->Front = std::move(FCell);
-  PCell->Value = std::make_shared<const ProgramSections>(std::move(Sections));
+  PCell->Value = std::move(Sections);
   ProgramMap[Key.hash()].push_back({Key, std::move(PCell)});
   ++NumEntries;
 }
@@ -234,8 +236,7 @@ void pipeline::patchProgramAngles(qasm::WqasmProgram &Program,
                                   const std::vector<AngleSlot> &Slots,
                                   double Gamma, double Beta) {
   for (const AngleSlot &S : Slots) {
-    double Value =
-        S.Coeff * (S.Dep == AngleSlot::Param::Gamma ? Gamma : Beta);
+    double Value = S.valueAt(Gamma, Beta);
     qasm::GateStatement &Stmt = Program.Statements[S.Statement];
     switch (S.Where) {
     case AngleSlot::Field::GateParam0:
@@ -249,4 +250,88 @@ void pipeline::patchProgramAngles(qasm::WqasmProgram &Program,
       break;
     }
   }
+}
+
+const ProgramSections::TextTemplate &ProgramSections::textTemplate() const {
+  std::call_once(TextOnce, [this] {
+    std::vector<qasm::AngleRef> Refs;
+    Refs.reserve(AngleSlots.size());
+    for (const AngleSlot &S : AngleSlots)
+      Refs.push_back(S.ref());
+    std::vector<TextSpan> Spans;
+    Text.Text = qasm::printWqasm(Program, Refs, Spans);
+
+    // Bind every slot's hole to its distinct (Dep, Coeff) value; equal
+    // coefficients compare bitwise, like the cache keys. A slot whose
+    // field is never printed (a snapshot may name one, e.g. the AngleX of
+    // a non-Raman annotation) changes no text, so it gets no hole.
+    std::vector<TextTemplate::Hole> Holes;
+    Holes.reserve(AngleSlots.size());
+    for (size_t I = 0; I < AngleSlots.size(); ++I) {
+      const AngleSlot &S = AngleSlots[I];
+      if (Spans[I].Len == 0)
+        continue;
+      uint32_t V = 0;
+      while (V < Text.Values.size() &&
+             !(Text.Values[V].Dep == S.Dep &&
+               std::memcmp(&Text.Values[V].Coeff, &S.Coeff,
+                           sizeof(double)) == 0))
+        ++V;
+      if (V == Text.Values.size())
+        Text.Values.push_back(S);
+      Holes.push_back({Spans[I].Offset, Spans[I].Len, V});
+    }
+    // Sort by offset; distinct fields print to disjoint ranges. A field
+    // named by two slots keeps the later one, as patchProgramAngles' last
+    // write wins.
+    std::stable_sort(Holes.begin(), Holes.end(),
+                     [](const TextTemplate::Hole &A,
+                        const TextTemplate::Hole &B) {
+                       return A.Offset < B.Offset;
+                     });
+    for (size_t I = 0; I < Holes.size(); ++I)
+      if (I + 1 == Holes.size() || Holes[I + 1].Offset != Holes[I].Offset)
+        Text.Holes.push_back(Holes[I]);
+    Text.Uses.assign(Text.Values.size(), 0);
+    Text.LiteralBytes = Text.Text.size();
+    for (const TextTemplate::Hole &H : Text.Holes) {
+      ++Text.Uses[H.Value];
+      Text.LiteralBytes -= H.Len;
+    }
+    Renders.fetch_add(1, std::memory_order_release);
+  });
+  return Text;
+}
+
+std::string ProgramSections::printAt(double Gamma, double Beta) const {
+  const TextTemplate &T = textTemplate();
+  // Format each distinct value once, exactly as the printer would.
+  std::vector<std::string> Values(T.Values.size());
+  size_t Bytes = T.LiteralBytes;
+  for (size_t V = 0; V < T.Values.size(); ++V) {
+    appendDouble(Values[V], T.Values[V].valueAt(Gamma, Beta));
+    Bytes += T.Uses[V] * Values[V].size();
+  }
+  std::string Out;
+  Out.reserve(Bytes);
+  size_t Pos = 0;
+  for (const TextTemplate::Hole &H : T.Holes) {
+    Out.append(T.Text, Pos, H.Offset - Pos);
+    Out += Values[H.Value];
+    Pos = H.Offset + H.Len;
+  }
+  Out.append(T.Text, Pos, std::string::npos);
+  return Out;
+}
+
+std::string ProgramInstance::print() const {
+  return FromCache ? Sections->printAt(Gamma, Beta)
+                   : qasm::printWqasm(Sections->Program);
+}
+
+qasm::WqasmProgram ProgramInstance::materialize() const {
+  qasm::WqasmProgram Program = Sections->Program;
+  if (FromCache)
+    patchProgramAngles(Program, Sections->AngleSlots, Gamma, Beta);
+  return Program;
 }

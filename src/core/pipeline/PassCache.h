@@ -19,9 +19,15 @@
 ///    across gamma/beta only in angle values, each an exact power-of-two
 ///    multiple of one parameter (AngleSlot). The tier caches the program
 ///    with its recorded angle slots plus the angle-independent pulse
-///    stats, keyed on every pipeline input except gamma/beta; a hit
-///    copies the template, patches the slots (bit-identical to direct
-///    emission), and skips gate lowering and the pulse-emission replay.
+///    stats, keyed on every pipeline input except gamma/beta. A hit skips
+///    gate lowering and the pulse-emission replay and copies nothing: the
+///    compile hands out a ProgramInstance (shared template + gamma/beta).
+///    Printing it splices the template's text — rendered once per entry,
+///    on the first hit that asks for text, as literal runs with one hole
+///    per angle slot — with the few distinct angle values formatted once;
+///    materializing it copies the program and patches the slots. Both are
+///    byte-identical to direct emission. A miss moves its freshly emitted
+///    program into the new entry instead of copying it.
 ///
 /// Keys hash the full input payload and compare it exactly on lookup, so
 /// hash collisions cannot alias entries. All operations are mutex-guarded:
@@ -47,6 +53,7 @@
 
 #include "core/pipeline/CompilationContext.h"
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -107,11 +114,67 @@ struct FrontHalfSections {
 
 /// Context sections produced by GateLoweringPass and PulseEmissionPass:
 /// the program template with its parameterised angle slots, and the
-/// gamma/beta-independent pulse statistics.
+/// gamma/beta-independent pulse statistics. Immutable once shared, apart
+/// from the text template, which renders lazily and thread-safely.
 struct ProgramSections {
   qasm::WqasmProgram Program;
   std::vector<AngleSlot> AngleSlots;
   fpqa::PulseStats Stats;
+
+  /// printWqasm of Program with every angle slot set to its value at
+  /// (\p Gamma, \p Beta): a splice of the text template. The first call
+  /// renders the template (through printWqasm's span recording); later
+  /// and concurrent calls wait for that one render and share it.
+  std::string printAt(double Gamma, double Beta) const;
+  /// How often the text template was rendered: 0 until the first
+  /// printAt, then 1.
+  unsigned textRenders() const {
+    return Renders.load(std::memory_order_acquire);
+  }
+
+private:
+  /// Program's printed text with one hole per printed angle slot, sorted
+  /// by offset. Each hole is bound to one distinct (Dep, Coeff) value.
+  struct TextTemplate {
+    struct Hole {
+      size_t Offset = 0;
+      size_t Len = 0;
+      uint32_t Value = 0; ///< index into Values
+    };
+    std::string Text;
+    std::vector<Hole> Holes;
+    /// The distinct (Dep, Coeff) pairs the holes take their value from.
+    std::vector<AngleSlot> Values;
+    /// How many holes each value fills (sizes the splice buffer).
+    std::vector<size_t> Uses;
+    /// Text bytes outside every hole.
+    size_t LiteralBytes = 0;
+  };
+  const TextTemplate &textTemplate() const;
+
+  mutable std::once_flag TextOnce;
+  mutable TextTemplate Text;
+  mutable std::atomic<unsigned> Renders{0};
+};
+
+/// A compiled program at one parameter point, without a private copy of
+/// it: the shared program sections plus the point's angles. On a
+/// program-tier hit the sections are the cached template; on a miss they
+/// hold the compile's own program (with a cache they are the new entry,
+/// without one they carry no angle slots), which already has this point's
+/// angles.
+struct ProgramInstance {
+  std::shared_ptr<const ProgramSections> Sections;
+  double Gamma = 0;
+  double Beta = 0;
+  /// The sections came from a program-tier hit.
+  bool FromCache = false;
+
+  /// printWqasm of the program; a template splice on a hit.
+  std::string print() const;
+  /// A private copy of the program (the template patched to this point's
+  /// angles on a hit).
+  qasm::WqasmProgram materialize() const;
 };
 
 /// A cache hit handed to Pass::restoreSections. Front is set on both
@@ -123,9 +186,11 @@ struct PassCacheEntry {
 
 /// Mutable entry under construction: passes fill their sections via
 /// Pass::saveSections as they run; PassManager inserts the finished tiers.
+/// The program itself is not copied here: PassManager moves it out of the
+/// context after the last pass.
 struct PassCacheEntryBuilder {
   FrontHalfSections Front;
-  ProgramSections Back;
+  fpqa::PulseStats Stats;
   bool SavedColoring = false;
   bool SavedPlan = false;
   bool SavedProgram = false;
@@ -187,10 +252,11 @@ public:
   insertFront(const PassCacheKey &Key, FrontHalfSections Sections);
   /// Inserts a program template linked to the front sections stored under
   /// \p FrontKey (inserting \p Front there first when absent — the link
-  /// is what lets a snapshot share one front payload between tiers).
+  /// is what lets a snapshot share one front payload between tiers). When
+  /// another worker inserted the key first, its entry is kept.
   void insertProgram(const PassCacheKey &Key, const PassCacheKey &FrontKey,
                      std::shared_ptr<const FrontHalfSections> Front,
-                     ProgramSections Sections);
+                     std::shared_ptr<const ProgramSections> Sections);
 
   // --- Persistence (implemented in PassCachePersist.cpp) ----------------
 
@@ -273,7 +339,7 @@ private:
   size_t NumEntries = 0;
 };
 
-/// Writes Coeff * (Gamma or Beta) into every recorded slot of \p Program.
+/// Writes every recorded slot's valueAt(Gamma, Beta) into \p Program.
 /// Bit-identical to direct emission because every coefficient is an exact
 /// power of two (see AngleSlot).
 void patchProgramAngles(qasm::WqasmProgram &Program,

@@ -86,9 +86,27 @@ Status PassManager::run(CompilationContext &Ctx) const {
     std::shared_ptr<const FrontHalfSections> Front = Hit.Front;
     if (!Front && Builder.SavedColoring && Builder.SavedPlan)
       Front = Cache->insertFront(FrontKey, std::move(Builder.Front));
-    if (Front && Builder.SavedProgram && Builder.SavedStats)
-      Cache->insertProgram(ProgramKey, FrontKey, std::move(Front),
-                           std::move(Builder.Back));
+    if (Builder.SavedProgram && Builder.SavedStats) {
+      // No pass after gate lowering mutates the program, so it moves into
+      // the entry now instead of being copied when it was emitted. This
+      // compile instantiates the same sections, whether or not its insert
+      // wins a race with another worker's.
+      auto Sections = std::make_shared<ProgramSections>();
+      Sections->Program = std::move(Ctx.Program);
+      Sections->AngleSlots = std::move(Ctx.AngleSlots);
+      Sections->Stats = Builder.Stats;
+      // The entry outlives this request: drop the emitter's growth slack
+      // (about a quarter of a program's bytes). Shrinking moves the
+      // statements and annotations; it copies none of their contents.
+      Sections->Program.Statements.shrink_to_fit();
+      for (qasm::GateStatement &S : Sections->Program.Statements)
+        S.Annotations.shrink_to_fit();
+      Sections->AngleSlots.shrink_to_fit();
+      Ctx.Template = Sections;
+      if (Front)
+        Cache->insertProgram(ProgramKey, FrontKey, std::move(Front),
+                             std::move(Sections));
+    }
   }
   return Status::success();
 }

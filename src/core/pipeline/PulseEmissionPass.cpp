@@ -10,19 +10,9 @@ using namespace weaver;
 using namespace weaver::core;
 using namespace weaver::core::pipeline;
 
-std::vector<const qasm::Annotation *>
-PulseEmissionPass::flatten(const qasm::WqasmProgram &Program) {
-  std::vector<const qasm::Annotation *> Stream;
-  Stream.reserve(Program.numAnnotations());
-  for (const qasm::Annotation &A : qasm::AnnotationView(Program))
-    Stream.push_back(&A);
-  return Stream;
-}
-
 Status PulseEmissionPass::run(CompilationContext &Ctx) {
-  Ctx.PulseStream = flatten(Ctx.Program);
-
-  // Replay straight off the program — no copied stream.
+  // Replay straight off the program (qasm::AnnotationView) — no copied
+  // or indexed stream.
   auto Stats = fpqa::analyzePulseProgram(Ctx.Program, Ctx.Hw);
   if (!Stats)
     return Stats.status();
@@ -33,7 +23,7 @@ Status PulseEmissionPass::run(CompilationContext &Ctx) {
 
 void PulseEmissionPass::saveSections(const CompilationContext &Ctx,
                                      PassCacheEntryBuilder &Builder) const {
-  Builder.Back.Stats = Ctx.Stats;
+  Builder.Stats = Ctx.Stats;
   Builder.SavedStats = true;
 }
 
@@ -41,7 +31,6 @@ bool PulseEmissionPass::restoreSections(const PassCacheEntry &Entry,
                                         CompilationContext &Ctx) const {
   if (!Entry.Back)
     return false;
-  Ctx.PulseStream = flatten(Ctx.Program);
   Ctx.Stats = Entry.Back->Stats;
   Ctx.HasStats = true;
   return true;

@@ -15,7 +15,6 @@
 
 #include "core/service/CompileService.h"
 
-#include "qasm/Printer.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
@@ -122,6 +121,12 @@ bool CompileService::JobHandle::waitFor(double Seconds,
   Out = J->Outcome;
   Out.Coalesced = WasCoalesced;
   return true;
+}
+
+const JobOutcome &CompileService::JobHandle::outcome() const {
+  // Immutable once resolved; the caller's happens-before edge (wait()'s
+  // lock, or the callback's hand-off) makes the unlocked read safe.
+  return J->Outcome;
 }
 
 void CompileService::JobHandle::cancel() const {
@@ -421,9 +426,10 @@ void CompileService::runJob(const std::shared_ptr<Job> &J) {
       B.compile(J->Request.Formula, J->Request.Qaoa, &J->Cancel);
   // Print inside the timed region and drop the program right away: the
   // outcome carries text only, and CompileSeconds means compile + print.
+  // A program-tier hit prints as a splice of the template's text.
   std::string Wqasm;
   if (Result.Program) {
-    Wqasm = qasm::printWqasm(*Result.Program);
+    Wqasm = Result.Program->print();
     Result.Program.reset();
   }
   double CompileSeconds = secondsSince(Start);
@@ -550,7 +556,11 @@ void CompileService::watchdogLoop() {
         WatchdogQueue.begin(), WatchdogQueue.end(),
         [](const auto &A, const auto &B) { return A.first < B.first; });
     if (Earliest->first > std::chrono::steady_clock::now()) {
-      WatchdogCV.wait_until(Lock, Earliest->first);
+      // Wait on a copy: armWatchdog may grow (reallocate) the queue while
+      // the lock is released, and wait_until reads its deadline again
+      // after waking.
+      const std::chrono::steady_clock::time_point Deadline = Earliest->first;
+      WatchdogCV.wait_until(Lock, Deadline);
       continue; // re-scan: the queue (or WatchdogStop) may have changed
     }
     std::shared_ptr<Job> J = std::move(Earliest->second);

@@ -179,6 +179,12 @@ public:
     JobOutcome wait() const;
     /// Bounded wait; returns false (leaving \p Out untouched) on timeout.
     bool waitFor(double Seconds, JobOutcome &Out) const;
+    /// The terminal outcome by reference, without wait()'s copy of its
+    /// (possibly megabytes of) wQASM text. Valid only once the job has
+    /// resolved — after wait() returned or a completion callback fired —
+    /// and only while this handle lives. Coalesced is the job's, not this
+    /// handle's.
+    const JobOutcome &outcome() const;
 
     /// Registers this handle's cancellation vote (idempotent per handle,
     /// shared by its copies). The job cancels once every handle attached

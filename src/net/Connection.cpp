@@ -47,9 +47,15 @@ Connection::ReadOutcome Connection::readAndParse() {
   return ReadOutcome::Progress;
 }
 
-bool Connection::queueWrite(const std::string &Bytes) {
+bool Connection::queueWrite(std::string Bytes) {
   if (writeQueueBytes() + Bytes.size() > MaxWriteQueueBytes)
     return false;
+  // Nothing pending: the frame becomes the write buffer, uncopied.
+  if (!writePending()) {
+    WriteBuf = std::move(Bytes);
+    WriteOff = 0;
+    return true;
+  }
   // Compact the flushed prefix before growing the buffer.
   if (WriteOff > 65536 && WriteOff >= WriteBuf.size() / 2) {
     WriteBuf.erase(0, WriteOff);

@@ -69,16 +69,26 @@ uint64_t StatsFrame::counter(std::string_view Name) const {
 // Encoding
 //===----------------------------------------------------------------------===//
 
-/// Wraps \p Payload in the [u32 Length][u8 Type] header.
-static std::string wrapFrame(FrameType Type, const BinaryWriter &Payload) {
+/// Starts a frame whose payload will be \p PayloadBytes long: writes the
+/// [u32 Length][u8 Type] header into a buffer reserved for the whole frame.
+static std::string startFrame(FrameType Type, size_t PayloadBytes) {
   std::string Out;
-  uint32_t Length = static_cast<uint32_t>(1 + Payload.size());
-  Out.reserve(4 + Length);
+  uint32_t Length = static_cast<uint32_t>(1 + PayloadBytes);
+  Out.reserve(4 + size_t(Length));
   for (int I = 0; I < 4; ++I)
     Out.push_back(static_cast<char>(Length >> (8 * I)));
   Out.push_back(static_cast<char>(Type));
-  Out.append(reinterpret_cast<const char *>(Payload.bytes().data()),
-             Payload.size());
+  return Out;
+}
+
+static void appendBytes(std::string &Out, const BinaryWriter &W) {
+  Out.append(reinterpret_cast<const char *>(W.bytes().data()), W.size());
+}
+
+/// Wraps \p Payload in the [u32 Length][u8 Type] header.
+static std::string wrapFrame(FrameType Type, const BinaryWriter &Payload) {
+  std::string Out = startFrame(Type, Payload.size());
+  appendBytes(Out, Payload);
   return Out;
 }
 
@@ -118,6 +128,12 @@ std::string net::encodePing() {
 }
 
 std::string net::encodeResult(const ResultFrame &F) {
+  return encodeResult(F, F.Wqasm);
+}
+
+std::string net::encodeResult(const ResultFrame &F, std::string_view Wqasm) {
+  // The small fields go through a BinaryWriter; the program text, the
+  // payload's last field, is copied once, straight into the frame.
   BinaryWriter W;
   W.writeU64(F.RequestId);
   W.writeU8(static_cast<uint8_t>(F.Code));
@@ -127,8 +143,11 @@ std::string net::encodeResult(const ResultFrame &F) {
   W.writeU8(F.CacheTier);
   W.writeU64(F.Pulses);
   W.writeString(F.Diagnostic);
-  W.writeString(F.Wqasm);
-  return wrapFrame(FrameType::Result, W);
+  W.writeU64(Wqasm.size());
+  std::string Out = startFrame(FrameType::Result, W.size() + Wqasm.size());
+  appendBytes(Out, W);
+  Out.append(Wqasm);
+  return Out;
 }
 
 std::string net::encodeStats(const StatsFrame &F) {

@@ -166,6 +166,10 @@ std::string encodeCancel(const CancelFrame &F);
 std::string encodeStatsRequest();
 std::string encodePing();
 std::string encodeResult(const ResultFrame &F);
+/// encodeResult with \p Wqasm as the program text (F.Wqasm is ignored):
+/// the server frames a job's text without first copying it into a
+/// ResultFrame. Byte-identical to encodeResult of the combined frame.
+std::string encodeResult(const ResultFrame &F, std::string_view Wqasm);
 std::string encodeStats(const StatsFrame &F);
 std::string encodeError(const ErrorFrame &F);
 std::string encodeGoingAway(const std::string &Reason);

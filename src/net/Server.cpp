@@ -64,7 +64,6 @@ ResultFrame Server::resultFromOutcome(uint64_t RequestId,
   case core::JobState::Completed:
     R.Code = ResponseCode::Ok;
     R.Pulses = Outcome.Metrics.Pulses;
-    R.Wqasm = Outcome.Wqasm;
     break;
   case core::JobState::Cancelled:
     R.Code = Outcome.DeadlineExceeded ? ResponseCode::DeadlineExceeded
@@ -79,8 +78,8 @@ ResultFrame Server::resultFromOutcome(uint64_t RequestId,
   return R;
 }
 
-void Server::queueOrDrop(Client &C, const std::string &Bytes) {
-  if (C.Conn.queueWrite(Bytes)) {
+void Server::queueOrDrop(Client &C, std::string Bytes) {
+  if (C.Conn.queueWrite(std::move(Bytes))) {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Stats.FramesOut;
     return;
@@ -93,8 +92,9 @@ void Server::queueOrDrop(Client &C, const std::string &Bytes) {
   ++Stats.SlowClientDrops;
 }
 
-void Server::sendResult(Client &C, const ResultFrame &R) {
-  queueOrDrop(C, encodeResult(R));
+void Server::sendResult(Client &C, const ResultFrame &R,
+                        std::string_view Wqasm) {
+  queueOrDrop(C, encodeResult(R, Wqasm));
   std::lock_guard<std::mutex> Lock(StatsMutex);
   ++Stats.ResultsSent;
 }
@@ -208,10 +208,10 @@ void Server::handleCompile(Client &C, const Frame &F) {
 
   uint64_t ConnId = C.Conn.id();
   uint64_t RequestId = Req.RequestId;
-  auto Cb = [this, ConnId, RequestId](const core::JobOutcome &Outcome) {
+  auto Cb = [this, ConnId, RequestId](const core::JobOutcome &) {
     {
       std::lock_guard<std::mutex> Lock(CompletionMutex);
-      Completions.push_back({ConnId, RequestId, Outcome});
+      Completions.push_back({ConnId, RequestId});
     }
     if (Wake)
       Wake->notify();
@@ -320,13 +320,28 @@ void Server::drainCompletions() {
         C = Candidate.get();
         break;
       }
-    if (!C) {
+    // The poll thread registers the handle before it can drain the job's
+    // completion and removes it only here, so a live client has it. The
+    // handle keeps the job, and so the outcome text, alive until the
+    // frame is encoded.
+    core::CompileService::JobHandle Handle;
+    if (C) {
+      auto It = C->InFlight.find(Done.RequestId);
+      if (It != C->InFlight.end()) {
+        Handle = std::move(It->second);
+        C->InFlight.erase(It);
+      }
+    }
+    if (!Handle.valid()) {
       std::lock_guard<std::mutex> Lock(StatsMutex);
       ++Stats.OrphanedResults;
       continue;
     }
-    C->InFlight.erase(Done.RequestId);
-    sendResult(*C, resultFromOutcome(Done.RequestId, Done.Outcome));
+    const core::JobOutcome &Outcome = Handle.outcome();
+    sendResult(*C, resultFromOutcome(Done.RequestId, Outcome),
+               Outcome.State == core::JobState::Completed
+                   ? std::string_view(Outcome.Wqasm)
+                   : std::string_view());
   }
 }
 

@@ -150,10 +150,12 @@ private:
   };
 
   /// One resolved job travelling from a worker thread to the poll loop.
+  /// Only the ids travel: the poll loop reads the outcome through the
+  /// client's job handle, so the program text is never copied on its way
+  /// into the response frame.
   struct Completion {
     uint64_t ConnId = 0;
     uint64_t RequestId = 0;
-    core::JobOutcome Outcome;
   };
 
   void acceptPending();
@@ -164,10 +166,14 @@ private:
   void handleCompile(Client &C, const Frame &F);
   StatsFrame buildStats();
   void beginDrain();
-  void sendResult(Client &C, const ResultFrame &R);
+  /// Sends \p R with \p Wqasm as its program text (R.Wqasm is ignored).
+  void sendResult(Client &C, const ResultFrame &R,
+                  std::string_view Wqasm = {});
   /// Queues bytes on \p C, or marks it for disconnect on overflow.
-  void queueOrDrop(Client &C, const std::string &Bytes);
+  void queueOrDrop(Client &C, std::string Bytes);
   uint32_t suggestedBackoffMs() const;
+  /// The result frame of \p Outcome, without its program text (which
+  /// completed outcomes send straight from Outcome.Wqasm).
   static ResultFrame resultFromOutcome(uint64_t RequestId,
                                        const core::JobOutcome &Outcome);
 

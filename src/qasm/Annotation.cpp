@@ -56,17 +56,19 @@ void appendList(std::string &Out, const std::vector<T> &Vals) {
   Out += ']';
 }
 
-void appendAngles(std::string &Out, double X, double Y, double Z) {
-  appendDouble(Out, X);
+void appendAngles(std::string &Out, double X, double Y, double Z,
+                  TextSpan *XAt, TextSpan *ZAt) {
+  appendDouble(Out, X, XAt);
   Out += ' ';
   appendDouble(Out, Y);
   Out += ' ';
-  appendDouble(Out, Z);
+  appendDouble(Out, Z, ZAt);
 }
 
 } // namespace
 
-void Annotation::appendTo(std::string &Out) const {
+void Annotation::appendTo(std::string &Out, TextSpan *AngleXAt,
+                          TextSpan *AngleZAt) const {
   Out += '@';
   Out += annotationKindName(Kind);
   switch (Kind) {
@@ -123,13 +125,13 @@ void Annotation::appendTo(std::string &Out) const {
     break;
   case AnnotationKind::RamanGlobal:
     Out += " global ";
-    appendAngles(Out, AngleX, AngleY, AngleZ);
+    appendAngles(Out, AngleX, AngleY, AngleZ, AngleXAt, AngleZAt);
     break;
   case AnnotationKind::RamanLocal:
     Out += " local ";
     appendQubit(Out, Qubit);
     Out += ' ';
-    appendAngles(Out, AngleX, AngleY, AngleZ);
+    appendAngles(Out, AngleX, AngleY, AngleZ, AngleXAt, AngleZAt);
     break;
   case AnnotationKind::Rydberg:
     break;

@@ -31,6 +31,7 @@
 #define WEAVER_QASM_ANNOTATION_H
 
 #include "support/Geometry.h"
+#include "support/StringUtils.h"
 
 #include <string>
 #include <vector>
@@ -105,8 +106,11 @@ struct Annotation {
   double AngleZ = 0;
 
   /// Appends the annotation in the concrete syntax above (no newline) to
-  /// \p Out.
-  void appendTo(std::string &Out) const;
+  /// \p Out. For the @raman forms, non-null \p AngleXAt / \p AngleZAt
+  /// receive where AngleX / AngleZ were printed; other forms leave them
+  /// untouched.
+  void appendTo(std::string &Out, TextSpan *AngleXAt = nullptr,
+                TextSpan *AngleZAt = nullptr) const;
 
   /// Returns appendTo's text.
   std::string str() const;

@@ -8,6 +8,9 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <numeric>
+
 using namespace weaver;
 using namespace weaver::qasm;
 using circuit::Circuit;
@@ -16,8 +19,9 @@ using circuit::GateKind;
 
 namespace {
 
-void printStatementLine(std::string &Out, const Gate &G) {
-  G.appendTo(Out);
+void printStatementLine(std::string &Out, const Gate &G,
+                        TextSpan *Param0 = nullptr) {
+  G.appendTo(Out, Param0);
   Out += ";\n";
 }
 
@@ -38,8 +42,10 @@ void printHeader(std::string &Out, const std::string &Version, int NumQubits,
   }
 }
 
-void printAnnotationLine(std::string &Out, const Annotation &A) {
-  A.appendTo(Out);
+void printAnnotationLine(std::string &Out, const Annotation &A,
+                         TextSpan *AngleXAt = nullptr,
+                         TextSpan *AngleZAt = nullptr) {
+  A.appendTo(Out, AngleXAt, AngleZAt);
   Out += '\n';
 }
 
@@ -73,13 +79,75 @@ std::string qasm::printOpenQasm(const Circuit &C) {
 }
 
 std::string qasm::printWqasm(const WqasmProgram &Program) {
+  std::vector<TextSpan> NoSpans;
+  return printWqasm(Program, {}, NoSpans);
+}
+
+std::string qasm::printWqasm(const WqasmProgram &Program,
+                             const std::vector<AngleRef> &Angles,
+                             std::vector<TextSpan> &Spans) {
+  using Field = AngleRef::Field;
+  // Visit the requested angles in print order: by statement, each
+  // statement's annotations (by index) before its gate line.
+  auto OnGate = [&](uint32_t I) {
+    return Angles[I].Where == Field::GateParam0;
+  };
+  std::vector<uint32_t> Order(Angles.size());
+  std::iota(Order.begin(), Order.end(), 0u);
+  std::sort(Order.begin(), Order.end(), [&](uint32_t L, uint32_t R) {
+    const AngleRef &A = Angles[L], &B = Angles[R];
+    if (A.Statement != B.Statement)
+      return A.Statement < B.Statement;
+    if (OnGate(L) != OnGate(R))
+      return OnGate(R);
+    if (!OnGate(L) && A.Annotation != B.Annotation)
+      return A.Annotation < B.Annotation;
+    return A.Where < B.Where;
+  });
+  Spans.assign(Angles.size(), TextSpan());
+
   std::string Out;
   Out.reserve(estimateBytes(Program));
   printHeader(Out, Program.Version, Program.NumQubits, Program.NumBits);
-  for (const GateStatement &S : Program.Statements) {
-    for (const Annotation &A : S.Annotations)
-      printAnnotationLine(Out, A);
-    printStatementLine(Out, S.Gate);
+  const size_t N = Order.size();
+  size_t Next = 0;
+  for (uint32_t SI = 0; SI < Program.Statements.size(); ++SI) {
+    const GateStatement &S = Program.Statements[SI];
+    // Angles of this statement occupy Order[Next, End).
+    while (Next < N && Angles[Order[Next]].Statement < SI)
+      ++Next;
+    size_t End = Next;
+    while (End < N && Angles[Order[End]].Statement == SI)
+      ++End;
+    size_t K = Next;
+    for (uint32_t AI = 0; AI < S.Annotations.size(); ++AI) {
+      while (K < End && !OnGate(Order[K]) &&
+             Angles[Order[K]].Annotation < AI)
+        ++K;
+      auto AtThis = [&] {
+        return K < End && !OnGate(Order[K]) &&
+               Angles[Order[K]].Annotation == AI;
+      };
+      if (!AtThis()) {
+        printAnnotationLine(Out, S.Annotations[AI]);
+        continue;
+      }
+      TextSpan X, Z;
+      printAnnotationLine(Out, S.Annotations[AI], &X, &Z);
+      for (; AtThis(); ++K)
+        Spans[Order[K]] = Angles[Order[K]].Where == Field::AnnotationX ? X : Z;
+    }
+    while (K < End && !OnGate(Order[K]))
+      ++K;
+    if (K == End) {
+      printStatementLine(Out, S.Gate);
+    } else {
+      TextSpan Param0;
+      printStatementLine(Out, S.Gate, &Param0);
+      for (; K < End; ++K)
+        Spans[Order[K]] = Param0;
+    }
+    Next = End;
   }
   for (const Annotation &A : Program.TrailingAnnotations)
     printAnnotationLine(Out, A);

@@ -18,6 +18,7 @@
 #include "qasm/Program.h"
 
 #include <string>
+#include <vector>
 
 namespace weaver {
 namespace qasm {
@@ -29,6 +30,15 @@ std::string printOpenQasm(const circuit::Circuit &C);
 /// Prints a wQASM program: each statement is preceded by its FPQA
 /// annotation lines (paper Fig. 4 concrete syntax).
 std::string printWqasm(const WqasmProgram &Program);
+
+/// printWqasm that also reports where selected angles were printed: on
+/// return Spans[I] is the byte range of the number \p Angles[I] names, or
+/// an empty span when \p Program prints no such number (no such statement
+/// or annotation, a parameterless gate, an annotation without angles).
+/// The text is printWqasm's, byte for byte.
+std::string printWqasm(const WqasmProgram &Program,
+                       const std::vector<AngleRef> &Angles,
+                       std::vector<TextSpan> &Spans);
 
 } // namespace qasm
 } // namespace weaver

@@ -19,11 +19,25 @@
 #include "circuit/Circuit.h"
 #include "qasm/Annotation.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace weaver {
 namespace qasm {
+
+/// Names one angle field of a WqasmProgram: parameter 0 of statement
+/// Statement's gate, or the X or Z angle of its annotation Annotation.
+struct AngleRef {
+  enum class Field : uint8_t {
+    GateParam0,  ///< Statements[Statement].Gate parameter 0
+    AnnotationX, ///< Statements[Statement].Annotations[Annotation].AngleX
+    AnnotationZ, ///< Statements[Statement].Annotations[Annotation].AngleZ
+  };
+  uint32_t Statement = 0;
+  uint32_t Annotation = 0; ///< meaningful unless Where == GateParam0
+  Field Where = Field::GateParam0;
+};
 
 /// One OpenQASM statement (a gate, measurement or barrier) plus the wQASM
 /// annotations that precede it.

@@ -16,10 +16,12 @@ using circuit::GateKind;
 Matrix sim::u3Matrix(double Theta, double Phi, double Lambda) {
   Matrix M(2, 2);
   double C = std::cos(Theta / 2), S = std::sin(Theta / 2);
+  // std::polar requires a non-negative modulus, and S or C is negative
+  // for Theta outside [0, pi]: scale unit phasors instead.
   M.at(0, 0) = Complex(C, 0);
-  M.at(0, 1) = -std::polar(S, Lambda);
-  M.at(1, 0) = std::polar(S, Phi);
-  M.at(1, 1) = std::polar(C, Phi + Lambda);
+  M.at(0, 1) = -S * std::polar(1.0, Lambda);
+  M.at(1, 0) = S * std::polar(1.0, Phi);
+  M.at(1, 1) = C * std::polar(1.0, Phi + Lambda);
   return M;
 }
 

@@ -265,15 +265,20 @@ void installGlobal(Config C) {
   detail::GlobalOn.store(Enabled, std::memory_order_relaxed);
 }
 
-void initFromEnvBestEffort() {
+/// Installs the WEAVER_FAULTS spec, if set. A malformed spec is fatal in
+/// every binary — one error line, exit status 1 — because running on with
+/// injection silently off would pass off a typo as a clean campaign.
+void initFromEnv() {
   const char *Spec = std::getenv("WEAVER_FAULTS");
   if (!Spec || !*Spec)
     return;
   Expected<Config> C = parseConfig(Spec);
   if (!C) {
-    std::fprintf(stderr, "warning: ignoring WEAVER_FAULTS: %s\n",
-                 C.message().c_str());
-    return;
+    std::fprintf(stderr, "error: WEAVER_FAULTS: %s\n", C.message().c_str());
+    std::fflush(stderr);
+    // Possibly still inside static initialization: end the process
+    // without running destructors of half-initialized globals.
+    std::_Exit(1);
   }
   installGlobal(C.take());
 }
@@ -283,12 +288,12 @@ void initFromEnvBestEffort() {
 /// short-circuits before ever touching globalEngine(), so with the flag
 /// still false no call site would trigger the env parse.
 struct EnvInitAtStartup {
-  EnvInitAtStartup() { std::call_once(EnvInitFlag, initFromEnvBestEffort); }
+  EnvInitAtStartup() { std::call_once(EnvInitFlag, initFromEnv); }
 } RunEnvInitAtStartup;
 } // namespace
 
 Engine &globalEngine() {
-  std::call_once(EnvInitFlag, initFromEnvBestEffort);
+  std::call_once(EnvInitFlag, initFromEnv);
   return rawGlobalEngine();
 }
 
@@ -308,20 +313,6 @@ Status configureGlobal(std::string_view Spec) {
 }
 
 void resetGlobal() { configureGlobal(Config()); }
-
-Status initGlobalFromEnv() {
-  const char *Spec = std::getenv("WEAVER_FAULTS");
-  // Claim the lazy-init slot either way, so globalEngine() won't re-read
-  // the env after an explicit init.
-  std::call_once(EnvInitFlag, [] {});
-  if (!Spec || !*Spec)
-    return Status::success();
-  Expected<Config> C = parseConfig(Spec);
-  if (!C)
-    return Status::error("WEAVER_FAULTS: " + C.message());
-  configureGlobal(C.take());
-  return Status::success();
-}
 
 //===----------------------------------------------------------------------===//
 // Simulated hang

@@ -171,10 +171,10 @@ Decision decideGlobal(std::string_view Site);
 size_t clampLenGlobal(std::string_view Site, size_t Len, size_t Lo);
 } // namespace detail
 
-/// The process-global engine. First access installs the WEAVER_FAULTS
-/// environment spec if present (a malformed env spec is reported to
-/// stderr once and ignored — use initGlobalFromEnv() in tools that want
-/// a hard failure).
+/// The process-global engine. The WEAVER_FAULTS environment spec, if
+/// present, is installed at program startup; a malformed spec ends the
+/// process there with one "error: WEAVER_FAULTS: ..." line and exit
+/// status 1, in every binary.
 Engine &globalEngine();
 
 /// True once a global fault configuration is installed. Inline single
@@ -203,10 +203,6 @@ void configureGlobal(Config C);
 /// Disables the global engine and clears its state. Tests that configure
 /// faults must reset in teardown — the engine is process-global.
 void resetGlobal();
-
-/// Parses WEAVER_FAULTS (if set) into the global engine, returning the
-/// parse error instead of swallowing it. Tools call this from main().
-Status initGlobalFromEnv();
 
 /// Simulated hang: sleeps in small slices until \p CapMs elapses or
 /// \p Token (may be null) is cancelled — so a watchdog that cancels the

@@ -50,6 +50,22 @@ inline void appendDouble(std::string &Out, double Value) {
   Out.append(Buf, R.ptr);
 }
 
+/// Byte range [Offset, Offset + Len) of one printed field inside a text
+/// buffer; what the printers record when asked where a number landed.
+struct TextSpan {
+  size_t Offset = 0;
+  size_t Len = 0;
+};
+
+/// appendDouble, recording in \p Span (when non-null) where the number
+/// landed in \p Out.
+inline void appendDouble(std::string &Out, double Value, TextSpan *Span) {
+  size_t Begin = Out.size();
+  appendDouble(Out, Value);
+  if (Span)
+    *Span = {Begin, Out.size() - Begin};
+}
+
 /// Returns appendDouble's text for \p Value as a string.
 std::string formatDouble(double Value);
 

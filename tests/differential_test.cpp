@@ -96,9 +96,12 @@ std::string dumpMismatch(const std::string &Name, const std::string &Got,
   return Dir;
 }
 
-/// The printed program of \p Out, or "" for metric-only backends.
+/// The printed program of \p Out, or "" for metric-only backends —
+/// printed from a materialized copy, never spliced, so it checks served
+/// splices independently.
 std::string printed(const baselines::CompileOutput &Out) {
-  return Out.Program ? qasm::printWqasm(*Out.Program) : std::string();
+  return Out.Program ? qasm::printWqasm(Out.Program->materialize())
+                     : std::string();
 }
 
 } // namespace
@@ -145,11 +148,19 @@ TEST(Differential, WeaverProgramMatchesFormulaRegister) {
 TEST(Differential, ServiceWqasmByteIdenticalToDirectCacheOnAndOff) {
   std::vector<sat::CnfFormula> Grid = satlibGrid();
 
-  // Direct, cache off: the reference programs.
+  // Round 2 runs at another (gamma, beta), so its cached compiles are
+  // template hits that must splice new angles, negative and zero ones
+  // included.
+  qaoa::QaoaParams Points[2];
+  Points[1].Gamma = -0.0;
+  Points[1].Beta = -0.615;
+
+  // Direct, cache off: the reference programs of both rounds.
   baselines::WeaverBackend Direct;
-  std::vector<std::string> Reference;
-  for (const sat::CnfFormula &F : Grid)
-    Reference.push_back(printed(Direct.compile(F, qaoa::QaoaParams())));
+  std::vector<std::string> Reference[2];
+  for (int Round = 0; Round < 2; ++Round)
+    for (const sat::CnfFormula &F : Grid)
+      Reference[Round].push_back(printed(Direct.compile(F, Points[Round])));
 
   for (bool UseCache : {false, true}) {
     SCOPED_TRACE(UseCache ? "service cache on" : "service cache off");
@@ -164,16 +175,17 @@ TEST(Differential, ServiceWqasmByteIdenticalToDirectCacheOnAndOff) {
       for (const sat::CnfFormula &F : Grid) {
         CompileRequest R;
         R.Formula = F;
+        R.Qaoa = Points[Round];
         Handles.push_back(Service.submit(R));
       }
       for (size_t I = 0; I < Handles.size(); ++I) {
         JobOutcome Out;
         ASSERT_TRUE(Handles[I].waitFor(120.0, Out));
         ASSERT_EQ(Out.State, JobState::Completed) << Out.Diagnostic;
-        if (Out.Wqasm != Reference[I]) {
+        if (Out.Wqasm != Reference[Round][I]) {
           std::string Dir = dumpMismatch(
               "grid" + std::to_string(I) + "_round" + std::to_string(Round),
-              Out.Wqasm, Reference[I]);
+              Out.Wqasm, Reference[Round][I]);
           FAIL() << "service output differs from direct compile for grid "
                  << I << " round " << Round << "; programs dumped to "
                  << Dir;

@@ -62,11 +62,13 @@ CompileFrame satlibRequest(uint64_t Id, int Vars = 20, int Index = 1) {
 }
 
 /// Direct (no service, no cache) compile of the same satlib instance a
-/// request names — the byte-identity reference.
-std::string directWqasm(int Vars, int Index) {
+/// request names, printed from its materialized program — the
+/// byte-identity reference, independent of any template splice.
+std::string directWqasm(int Vars, int Index,
+                        const qaoa::QaoaParams &Qaoa = qaoa::QaoaParams()) {
   baselines::CompileOutput Out = baselines::WeaverBackend().compile(
-      sat::satlibInstance(Vars, Index), qaoa::QaoaParams());
-  return qasm::printWqasm(*Out.Program);
+      sat::satlibInstance(Vars, Index), Qaoa);
+  return qasm::printWqasm(Out.Program->materialize());
 }
 
 /// Resets the process-global fault engine when a test that configured
@@ -409,6 +411,31 @@ TEST(NetServer, CompileRoundTripIsByteIdenticalToDirect) {
   ASSERT_TRUE(RD.ok()) << RD.message();
   EXPECT_EQ(RD->Code, ResponseCode::Ok) << RD->Diagnostic;
   EXPECT_EQ(RD->Wqasm, R->Wqasm);
+}
+
+TEST(NetServer, TemplateHitsAtNewAnglesMatchDirectCompiles) {
+  TestServer S;
+  Client C = makeClient(S);
+  ASSERT_FALSE(C.connect());
+  // The first request builds the template; the others are program-tier
+  // hits whose text the server splices at their own angles.
+  const double Points[][2] = {{0.7, 0.3}, {-1.25, 0.0}, {0.0, -0.0},
+                              {2.5, -0.4}};
+  for (size_t I = 0; I < std::size(Points); ++I) {
+    CompileFrame F = satlibRequest(I + 1, 50, 2);
+    F.Gamma = Points[I][0];
+    F.Beta = Points[I][1];
+    auto R = C.compileSync(F);
+    ASSERT_TRUE(R.ok()) << R.message();
+    ASSERT_EQ(R->Code, ResponseCode::Ok) << R->Diagnostic;
+    core::CacheTier Tier = I == 0 ? core::CacheTier::None
+                                  : core::CacheTier::Program;
+    EXPECT_EQ(R->CacheTier, static_cast<uint8_t>(Tier)) << "point " << I;
+    qaoa::QaoaParams Q;
+    Q.Gamma = F.Gamma;
+    Q.Beta = F.Beta;
+    EXPECT_EQ(R->Wqasm, directWqasm(50, 2, Q)) << "point " << I;
+  }
 }
 
 TEST(NetServer, PingStatsAndMalformedDimacs) {
@@ -767,34 +794,53 @@ TEST(NetServer, SurvivesFaultInjectionWithByteIdentity) {
 #ifdef WEAVER_SERVE_BIN
 namespace {
 
-/// Spawns weaver_serve with stdout redirected to \p LogPath and, when
-/// \p FaultsEnv is set, WEAVER_FAULTS in its environment; returns the
-/// child pid or -1.
-pid_t spawnServe(const std::vector<std::string> &Args,
-                 const std::string &LogPath,
-                 const char *FaultsEnv = nullptr) {
+/// Spawns \p Bin with stdout redirected to \p LogPath (and stderr to
+/// \p ErrPath when non-empty) and, when \p FaultsEnv is set,
+/// WEAVER_FAULTS in its environment; returns the child pid or -1.
+pid_t spawnTool(const char *Bin, const std::vector<std::string> &Args,
+                const std::string &LogPath, const char *FaultsEnv = nullptr,
+                const std::string &ErrPath = "") {
   // The scratch dir persists across runs; a stale log from a previous
   // run would let waitForPort() race the child's O_TRUNC and hand back
   // the dead port of the last daemon.
   ::unlink(LogPath.c_str());
+  if (!ErrPath.empty())
+    ::unlink(ErrPath.c_str());
   pid_t Pid = fork();
   if (Pid != 0)
     return Pid;
   // Child.
-  int LogFd = ::open(LogPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (LogFd >= 0) {
-    ::dup2(LogFd, STDOUT_FILENO);
-    ::close(LogFd);
-  }
+  auto Redirect = [](const std::string &Path, int Fd) {
+    int LogFd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (LogFd >= 0) {
+      ::dup2(LogFd, Fd);
+      ::close(LogFd);
+    }
+  };
+  Redirect(LogPath, STDOUT_FILENO);
+  if (!ErrPath.empty())
+    Redirect(ErrPath, STDERR_FILENO);
   if (FaultsEnv)
     ::setenv("WEAVER_FAULTS", FaultsEnv, 1);
   std::vector<char *> Argv;
-  Argv.push_back(const_cast<char *>(WEAVER_SERVE_BIN));
+  Argv.push_back(const_cast<char *>(Bin));
   for (const std::string &A : Args)
     Argv.push_back(const_cast<char *>(A.c_str()));
   Argv.push_back(nullptr);
-  ::execv(WEAVER_SERVE_BIN, Argv.data());
+  ::execv(Bin, Argv.data());
   _exit(127);
+}
+
+pid_t spawnServe(const std::vector<std::string> &Args,
+                 const std::string &LogPath,
+                 const char *FaultsEnv = nullptr,
+                 const std::string &ErrPath = "") {
+  return spawnTool(WEAVER_SERVE_BIN, Args, LogPath, FaultsEnv, ErrPath);
+}
+
+std::string readWholeFile(const std::string &Path) {
+  std::ifstream In(Path);
+  return std::string((std::istreambuf_iterator<char>(In)), {});
 }
 
 /// Kills the daemon on early test exit (a failed ASSERT must not leave
@@ -958,18 +1004,50 @@ TEST(NetServeProcess, MalformedFaultSpecIsFatal) {
   // flag: both must stop the daemon before it serves anything.
   for (int Variant = 0; Variant < 2; ++Variant) {
     std::string LogFile = Dir + "/serve-bad-" + std::to_string(Variant);
+    std::string ErrFile = LogFile + ".err";
     pid_t Pid =
         Variant == 0
-            ? spawnServe({"--port", "0"}, LogFile, "seed=7,partial=0.3")
+            ? spawnServe({"--port", "0"}, LogFile, "seed=7,partial=0.3",
+                         ErrFile)
             : spawnServe({"--port", "0", "--faults", "net.kill:p=2"},
-                         LogFile);
+                         LogFile, nullptr, ErrFile);
     ASSERT_GT(Pid, 0);
     ServeGuard Guard{Pid};
     int WaitStatus = waitForExit(Pid);
     ASSERT_NE(WaitStatus, -1) << "daemon kept running on a bad spec";
     Guard.disarm();
-    EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) != 0)
+    EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) == 1)
         << "variant " << Variant << " exit status " << WaitStatus;
+    if (Variant == 0) {
+      // Exactly one diagnostic for the bad environment spec: no warning
+      // ahead of the error.
+      EXPECT_TRUE(std::regex_match(readWholeFile(ErrFile),
+                                   std::regex("error: WEAVER_FAULTS: [^\n]+\n")))
+          << readWholeFile(ErrFile);
+    }
   }
 }
+
+#ifdef WEAVER_QASM_COMPILE_BIN
+TEST(NetServeProcess, MalformedFaultsEnvIsFatalInEveryTool) {
+  // Not only the daemon: any binary linking the fault engine refuses a
+  // bad WEAVER_FAULTS before doing any work, with the same single line.
+  std::string Dir = testTempDir();
+  std::string LogFile = Dir + "/qasm-compile.log";
+  std::string ErrFile = LogFile + ".err";
+  pid_t Pid = spawnTool(WEAVER_QASM_COMPILE_BIN, {"--help"}, LogFile,
+                        "seed=7;no.such.site:p=0.5,bogus", ErrFile);
+  ASSERT_GT(Pid, 0);
+  ServeGuard Guard{Pid};
+  int WaitStatus = waitForExit(Pid);
+  ASSERT_NE(WaitStatus, -1) << "tool kept running on a bad spec";
+  Guard.disarm();
+  EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) == 1)
+      << "exit status " << WaitStatus;
+  EXPECT_TRUE(std::regex_match(readWholeFile(ErrFile),
+                               std::regex("error: WEAVER_FAULTS: [^\n]+\n")))
+      << readWholeFile(ErrFile);
+  EXPECT_EQ(readWholeFile(LogFile), "");
+}
+#endif // WEAVER_QASM_COMPILE_BIN
 #endif // WEAVER_SERVE_BIN

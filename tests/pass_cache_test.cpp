@@ -12,15 +12,21 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestPaths.h"
+
+#include "baselines/Backend.h"
 #include "core/BatchCompiler.h"
 #include "core/WeaverCompiler.h"
 #include "core/pipeline/PassCache.h"
 #include "core/pipeline/PassManager.h"
 #include "qasm/Printer.h"
 #include "sat/Generator.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <thread>
 
 using namespace weaver;
@@ -43,6 +49,12 @@ WeaverOptions sweepPoint(double Gamma, double Beta, int Layers = 1,
   Opt.Qaoa.Layers = Layers;
   Opt.Cache = Cache;
   return Opt;
+}
+
+/// WEAVER_STRESS_LIGHT=1 (the sanitizer CI jobs) shrinks the oracle grid.
+bool lightMode() {
+  const char *Env = std::getenv("WEAVER_STRESS_LIGHT");
+  return Env && std::string(Env) == "1";
 }
 
 /// Compiles and returns the printed program, asserting success.
@@ -289,4 +301,163 @@ TEST(PassCache, ConcurrentCompilesStayByteIdentical) {
   for (int T = 0; T < 4; ++T)
     for (int I = 0; I < 4; ++I)
       EXPECT_EQ(Got[T][I], Reference[I]) << "thread " << T << " point " << I;
+}
+
+// --- Text templates: spliced printing of program-tier hits ---------------
+
+namespace {
+
+/// One (gamma, beta) point of the splice oracle. Zero, negative zero and
+/// negative angles print as "0", "-0" and "-..." — the splice must agree.
+struct AnglePoint {
+  double Gamma, Beta;
+};
+
+std::vector<AnglePoint> oraclePoints(uint64_t Seed) {
+  std::vector<AnglePoint> Points = {{0.0, -0.0}, {-0.0, 0.0}, {-0.83, -0.21}};
+  SplitMix64 Rng(Seed);
+  for (int I = 0; I < 3; ++I) {
+    double G = (double(Rng.next() % 20001) - 10000) / 1637.0;
+    double B = (double(Rng.next() % 20001) - 10000) / 4099.0;
+    Points.push_back({G, B});
+  }
+  return Points;
+}
+
+baselines::CompileOutput backendCompile(const CnfFormula &F,
+                                        const WeaverOptions &Base,
+                                        AnglePoint P) {
+  qaoa::QaoaParams Q = Base.Qaoa;
+  Q.Gamma = P.Gamma;
+  Q.Beta = P.Beta;
+  return baselines::WeaverBackend(Base).compile(F, Q);
+}
+
+/// Compares two printed programs. On a mismatch it reports the first
+/// differing byte with some context instead of gtest's line diff, which
+/// on megabyte texts costs far more memory than the texts themselves.
+void expectSameText(const std::string &Got, const std::string &Want,
+                    const std::string &Where) {
+  if (Got == Want)
+    return;
+  size_t At = std::mismatch(Got.begin(),
+                            Got.begin() + std::min(Got.size(), Want.size()),
+                            Want.begin())
+                  .first -
+              Got.begin();
+  size_t From = At < 80 ? 0 : At - 80;
+  ADD_FAILURE() << Where << ": texts differ at byte " << At << " (sizes "
+                << Got.size() << " vs " << Want.size() << ")\n got: ..."
+                << Got.substr(From, 160) << "\nwant: ..."
+                << Want.substr(From, 160);
+}
+
+/// The three-way oracle for one compile: the served text (a splice on a
+/// hit), an independent print of the materialized program, and an
+/// uncached compile at the same point.
+void expectSpliceOracle(const CnfFormula &F, const WeaverOptions &Base,
+                        AnglePoint P, const std::string &Where) {
+  baselines::CompileOutput Out = backendCompile(F, Base, P);
+  ASSERT_TRUE(Out.Program.has_value()) << Where << Out.Metrics.Diagnostic;
+  WeaverOptions Plain = Base;
+  Plain.Cache = nullptr;
+  Plain.Qaoa.Gamma = P.Gamma;
+  Plain.Qaoa.Beta = P.Beta;
+  std::string Uncached = compileToText(F, Plain);
+  expectSameText(qasm::printWqasm(Out.Program->materialize()), Uncached,
+                 Where + " (materialized)");
+  expectSameText(Out.Program->print(), Uncached, Where + " (printed)");
+}
+
+} // namespace
+
+TEST(TextTemplate, SpliceMatchesIndependentPrintAcrossTheGrid) {
+  const bool Light = lightMode();
+  const int NumFormulas = Light ? 2 : 4;
+  const int MaxLayers = Light ? 2 : 3;
+  std::string Dir = testTempDir();
+  for (int FI = 0; FI < NumFormulas; ++FI) {
+    SplitMix64 Rng(1000 + FI);
+    int Vars = 20 + static_cast<int>(Rng.next() % 81); // 20..100
+    CnfFormula F = testFormula(77 + FI, Vars,
+                               static_cast<size_t>(Vars * 4.26));
+    std::vector<AnglePoint> Points = oraclePoints(FI);
+    if (Light)
+      Points.resize(4);
+    for (int Layers = 1; Layers <= MaxLayers; ++Layers)
+      for (bool Measure : {false, true}) {
+        PassCache Cache;
+        WeaverOptions Base = sweepPoint(0.7, 0.3, Layers, &Cache);
+        Base.Measure = Measure;
+        std::string Cell = "formula " + std::to_string(FI) + " (" +
+                           std::to_string(Vars) + " vars) layers " +
+                           std::to_string(Layers) +
+                           (Measure ? " measured" : "");
+        // The first point builds the template; the rest are hits.
+        for (size_t PI = 0; PI < Points.size(); ++PI)
+          expectSpliceOracle(F, Base, Points[PI],
+                             Cell + " point " + std::to_string(PI));
+        EXPECT_EQ(Cache.stats().ProgramHits, Points.size() - 1) << Cell;
+
+        // A template that went through a snapshot renders and splices the
+        // same.
+        std::string Path = Dir + "/oracle.bin";
+        ASSERT_FALSE(Cache.saveSnapshot(Path));
+        PassCache Loaded;
+        ASSERT_FALSE(Loaded.loadSnapshot(Path));
+        Base.Cache = &Loaded;
+        for (size_t PI = 1; PI < Points.size(); PI += 2)
+          expectSpliceOracle(F, Base, Points[PI],
+                             Cell + " after snapshot, point " +
+                                 std::to_string(PI));
+        // Both cells (front and program) came from the mapped file.
+        EXPECT_EQ(Loaded.stats().Materializations, 2u) << Cell;
+      }
+  }
+}
+
+TEST(TextTemplate, ConcurrentFirstPrintsRenderOnce) {
+  CnfFormula F = testFormula(31, 40, 170);
+  PassCache Cache;
+  WeaverOptions Base = sweepPoint(0.7, 0.3, 2, &Cache);
+  ASSERT_TRUE(compileWeaver(F, Base).ok()); // builds the template
+  const AnglePoint P = {-0.45, 0.125};
+  baselines::CompileOutput Hit = backendCompile(F, Base, P);
+  ASSERT_TRUE(Hit.ProgramFromCache);
+  ASSERT_EQ(Hit.Program->Sections->textRenders(), 0u);
+
+  constexpr int NumThreads = 8;
+  std::string Got[NumThreads];
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      // Each thread prints its own instance of the one shared template.
+      baselines::CompileOutput Mine = backendCompile(F, Base, P);
+      if (Mine.Program)
+        Got[T] = Mine.Program->print();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Hit.Program->Sections->textRenders(), 1u);
+  std::string Want = qasm::printWqasm(Hit.Program->materialize());
+  for (int T = 0; T < NumThreads; ++T)
+    expectSameText(Got[T], Want, "thread " + std::to_string(T));
+}
+
+TEST(TextTemplate, MissesNeverRender) {
+  // A cold compile-and-print (every lookup misses) prints the program it
+  // just emitted and leaves the new entry's template unrendered.
+  PassCache Cache;
+  for (uint64_t Seed = 41; Seed < 44; ++Seed) {
+    CnfFormula F = testFormula(Seed);
+    baselines::CompileOutput Out =
+        backendCompile(F, sweepPoint(0.7, 0.3, 1, &Cache), {0.6, 0.2});
+    ASSERT_TRUE(Out.Program.has_value());
+    EXPECT_FALSE(Out.ProgramFromCache);
+    expectSameText(Out.Program->print(),
+                   compileToText(F, sweepPoint(0.6, 0.2)),
+                   "seed " + std::to_string(Seed));
+    EXPECT_EQ(Out.Program->Sections->textRenders(), 0u);
+  }
+  EXPECT_EQ(Cache.stats().ProgramHits, 0u);
 }

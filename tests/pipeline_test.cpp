@@ -335,7 +335,14 @@ TEST(PulseEmissionPass, FlattensStreamAndDerivesStats) {
   Ctx.Formula = &F;
   ASSERT_TRUE(PassManager::standardFpqaPipeline().run(Ctx).ok());
   EXPECT_TRUE(Ctx.HasStats);
-  EXPECT_EQ(Ctx.PulseStream.size(), Ctx.Program.numAnnotations());
+  // The replay walks the program's annotations as one stream
+  // (qasm::AnnotationView); it covers every annotation once.
+  size_t Streamed = 0;
+  for (const qasm::Annotation &A : qasm::AnnotationView(Ctx.Program)) {
+    (void)A;
+    ++Streamed;
+  }
+  EXPECT_EQ(Streamed, Ctx.Program.numAnnotations());
   EXPECT_GT(Ctx.Stats.totalPulses(), 0u);
   EXPECT_GT(Ctx.Stats.RydbergPulses, 0u);
   EXPECT_GT(Ctx.Stats.Duration, 0.0);
@@ -347,16 +354,23 @@ TEST(PulseEmissionPass, StreamIsNonOwningViewIntoProgram) {
   CompilationContext Ctx;
   Ctx.Formula = &F;
   ASSERT_TRUE(PassManager::standardFpqaPipeline().run(Ctx).ok());
-  ASSERT_FALSE(Ctx.PulseStream.empty());
-  // Every stream element points into the program, in execution order —
-  // the annotations are never copied out of it.
+  // The stream the replay consumes yields the program's own annotations
+  // in execution order (each statement's, then the trailing ones) —
+  // never copies of them.
+  std::vector<const qasm::Annotation *> Expected;
+  for (const qasm::GateStatement &S : Ctx.Program.Statements)
+    for (const qasm::Annotation &A : S.Annotations)
+      Expected.push_back(&A);
+  for (const qasm::Annotation &A : Ctx.Program.TrailingAnnotations)
+    Expected.push_back(&A);
+  ASSERT_FALSE(Expected.empty());
   size_t I = 0;
   for (const qasm::Annotation &A : qasm::AnnotationView(Ctx.Program)) {
-    ASSERT_LT(I, Ctx.PulseStream.size());
-    EXPECT_EQ(Ctx.PulseStream[I], &A) << "stream index " << I;
+    ASSERT_LT(I, Expected.size());
+    EXPECT_EQ(&A, Expected[I]) << "stream index " << I;
     ++I;
   }
-  EXPECT_EQ(I, Ctx.PulseStream.size());
+  EXPECT_EQ(I, Expected.size());
 }
 
 TEST(GateLoweringPass, RejectsNonMonotoneColumnTargets) {

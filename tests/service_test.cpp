@@ -202,7 +202,7 @@ TEST(CompileService, CompletesJobByteIdenticalToDirectCompile) {
   baselines::WeaverBackend Direct;
   baselines::CompileOutput Ref = Direct.compile(uf(20, 1), qaoa::QaoaParams());
   ASSERT_TRUE(Ref.Program.has_value());
-  EXPECT_EQ(Out.Wqasm, qasm::printWqasm(*Ref.Program));
+  EXPECT_EQ(Out.Wqasm, qasm::printWqasm(Ref.Program->materialize()));
   EXPECT_EQ(Out.Metrics.Pulses, Ref.Metrics.Pulses);
   EXPECT_EQ(Out.Metrics.Eps, Ref.Metrics.Eps);
 }

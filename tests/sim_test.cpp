@@ -158,6 +158,27 @@ TEST(GateMatrices, U3ReproducesNamedGates) {
                                    gateUnitary(Gate(GateKind::H, {0}))));
 }
 
+TEST(GateMatrices, U3MatchesExplicitPhasesForNegativeHalfAngles) {
+  // U3(t, p, l) = [[c, -e^{il} s], [e^{ip} s, e^{i(p+l)} c]] with
+  // c = cos(t/2), s = sin(t/2). Each theta below makes s or c (or both)
+  // negative — the moduli std::polar must never be handed.
+  const double Phi = 0.7, Lambda = -1.3;
+  const Complex I(0, 1);
+  for (double Theta : {-0.9, -Pi / 2, 2.5 * Pi, 3 * Pi, -2.5 * Pi, 3.9}) {
+    double C = std::cos(Theta / 2), S = std::sin(Theta / 2);
+    ASSERT_TRUE(C < 0 || S < 0) << Theta;
+    Matrix U = u3Matrix(Theta, Phi, Lambda);
+    EXPECT_NEAR(std::abs(U.at(0, 0) - C), 0, 1e-12) << Theta;
+    EXPECT_NEAR(std::abs(U.at(0, 1) + std::exp(I * Lambda) * S), 0, 1e-12)
+        << Theta;
+    EXPECT_NEAR(std::abs(U.at(1, 0) - std::exp(I * Phi) * S), 0, 1e-12)
+        << Theta;
+    EXPECT_NEAR(std::abs(U.at(1, 1) - std::exp(I * (Phi + Lambda)) * C), 0,
+                1e-12)
+        << Theta;
+  }
+}
+
 // --- State vector --------------------------------------------------------
 
 TEST(StateVector, InitialBasisState) {

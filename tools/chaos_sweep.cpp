@@ -93,8 +93,8 @@ std::vector<std::string> baselineWqasm(const std::vector<Point> &W) {
   std::vector<std::string> Out;
   for (const Point &P : W)
     Out.push_back(qasm::printWqasm(
-        *Direct.compile(sat::satlibInstance(P.Vars, P.Index), qaoaFor(P))
-             .Program));
+        Direct.compile(sat::satlibInstance(P.Vars, P.Index), qaoaFor(P))
+            .Program->materialize()));
   return Out;
 }
 

@@ -189,8 +189,9 @@ int main(int Argc, char **Argv) {
       baselines::CompileOutput Ref =
           Direct->compile(sat::satlibInstance(F.NumVars, F.Index), Qaoa);
       It = References
-               .emplace(Key, Ref.Program ? qasm::printWqasm(*Ref.Program)
-                                         : std::string())
+               .emplace(Key, Ref.Program
+                                 ? qasm::printWqasm(Ref.Program->materialize())
+                                 : std::string())
                .first;
     }
     return It->second;

@@ -84,10 +84,6 @@ double argDouble(const std::string &Flag, const char *Text, double Min,
 int main(int Argc, char **Argv) {
   net::ServerOptions Options;
   Options.StopFlag = &StopFlag;
-  if (Status S = fault::initGlobalFromEnv()) {
-    std::fprintf(stderr, "error: %s\n", S.message().c_str());
-    return 1;
-  }
   std::string FaultSpec;
 
   for (int I = 1; I < Argc; ++I) {

@@ -1,10 +1,10 @@
-//===- bench/bench_batch_compile.cpp - BatchCompiler throughput -----------===//
+//===- bench/bench_batch_compile.cpp - Batch compilation throughput -------===//
 //
 // Part of the weaver-cpp reproduction of "Weaver" (CGO 2025). MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Measures the BatchCompiler's multi-threaded speedup on a 16-formula
+/// Measures core::compileBatch's multi-threaded speedup on a 16-formula
 /// SATLIB-style batch (the production-scale direction of the ROADMAP:
 /// batched compilation across a thread pool). Prints a wall-clock scaling
 /// table, then runs the google-benchmark registrations.
@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "core/BatchCompiler.h"
+#include "core/CompileBatch.h"
 
 #include <benchmark/benchmark.h>
 
@@ -35,11 +35,11 @@ std::vector<sat::CnfFormula> makeBatch() {
 
 double timeBatch(const std::vector<sat::CnfFormula> &Batch, int Threads) {
   baselines::WeaverBackend Backend;
-  core::BatchOptions Opt;
+  core::PoolOptions Opt;
   Opt.NumThreads = Threads;
-  core::BatchCompiler Compiler(Backend, Opt);
+  core::WorkerPool Pool(Opt);
   auto Start = std::chrono::steady_clock::now();
-  auto Results = Compiler.compileAll(Batch);
+  auto Results = core::compileBatch(Backend, Batch, {}, Pool);
   benchmark::DoNotOptimize(Results);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
@@ -57,18 +57,18 @@ void printTable() {
     T.addRow({std::to_string(N), formatf("%.3f", Wall),
               formatf("%.2fx", Baseline / Wall)});
   }
-  std::printf("== BatchCompiler: %d x uf%d instances, weaver backend ==\n%s\n",
+  std::printf("== compileBatch: %d x uf%d instances, weaver backend ==\n%s\n",
               BatchSize, BatchVariables, T.render().c_str());
 }
 
 void BM_BatchCompile(benchmark::State &State) {
   std::vector<sat::CnfFormula> Batch = makeBatch();
   baselines::WeaverBackend Backend;
-  core::BatchOptions Opt;
+  core::PoolOptions Opt;
   Opt.NumThreads = static_cast<int>(State.range(0));
-  core::BatchCompiler Compiler(Backend, Opt);
+  core::WorkerPool Pool(Opt);
   for (auto _ : State) {
-    auto Results = Compiler.compileAll(Batch);
+    auto Results = core::compileBatch(Backend, Batch, {}, Pool);
     benchmark::DoNotOptimize(Results);
   }
   State.SetItemsProcessed(State.iterations() * BatchSize);

@@ -8,7 +8,7 @@
 /// variables) through the Weaver pipeline under several QAOA
 /// (gamma, beta) points, printing per-size averages — a miniature of the
 /// Fig. 8b/10b/11b/12b series for quick exploration. Each sweep point is
-/// compiled as one batch across the BatchCompiler's thread pool, and all
+/// compiled as one batch on a WorkerPool (core::compileBatch), and all
 /// workers share one PassCache: the front half (colouring + zone plan)
 /// and the program template are computed once per formula, then restored
 /// and angle-patched for every later point. The table's last column
@@ -23,7 +23,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/BatchCompiler.h"
+#include "core/CompileBatch.h"
 #include "core/WeaverCompiler.h"
 #include "core/pipeline/PassCache.h"
 #include "sat/Dimacs.h"
@@ -70,14 +70,14 @@ int runSingleFile(const char *Path) {
 /// across points at fixed layers).
 std::vector<baselines::BaselineResult>
 runSweep(const baselines::Backend &Backend,
-         const std::vector<sat::CnfFormula> &Batch,
+         const std::vector<sat::CnfFormula> &Batch, core::WorkerPool &Pool,
          std::vector<double> &CompileBySlot) {
   std::vector<baselines::BaselineResult> Last;
   for (int P = 0; P < SweepPoints; ++P) {
-    core::BatchOptions BOpt;
-    BOpt.Qaoa.Gamma = 0.30 + 0.10 * P;
-    BOpt.Qaoa.Beta = 0.20 + 0.05 * P;
-    Last = core::BatchCompiler(Backend, BOpt).compileAll(Batch);
+    qaoa::QaoaParams Qaoa;
+    Qaoa.Gamma = 0.30 + 0.10 * P;
+    Qaoa.Beta = 0.20 + 0.05 * P;
+    Last = core::compileBatch(Backend, Batch, Qaoa, Pool);
     for (size_t I = 0; I < Last.size(); ++I)
       CompileBySlot[I] += Last[I].CompileSeconds;
   }
@@ -103,9 +103,10 @@ int main(int Argc, char **Argv) {
   std::vector<double> UncachedCompile(Batch.size(), 0);
   std::vector<double> CachedCompile(Batch.size(), 0);
 
+  core::WorkerPool Pool;
   baselines::WeaverBackend Uncached;
   auto Start = std::chrono::steady_clock::now();
-  runSweep(Uncached, Batch, UncachedCompile);
+  runSweep(Uncached, Batch, Pool, UncachedCompile);
   double WallOff = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Start)
                        .count();
@@ -122,7 +123,7 @@ int main(int Argc, char **Argv) {
   baselines::WeaverBackend CachedBackend(WOpt);
   Start = std::chrono::steady_clock::now();
   std::vector<baselines::BaselineResult> Results =
-      runSweep(CachedBackend, Batch, CachedCompile);
+      runSweep(CachedBackend, Batch, Pool, CachedCompile);
   double WallOn = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - Start)
                       .count();
@@ -163,9 +164,8 @@ int main(int Argc, char **Argv) {
   std::printf("sweep: %zu instances x %d points on %d threads; wall "
               "%.2f s uncached vs %.2f s cached (%.2fx); template "
               "hits/misses %llu/%llu\n",
-              Batch.size(), SweepPoints,
-              core::BatchCompiler(Uncached).effectiveThreads(Batch.size()),
-              WallOff, WallOn, WallOff / WallOn,
+              Batch.size(), SweepPoints, Pool.numThreads(), WallOff, WallOn,
+              WallOff / WallOn,
               static_cast<unsigned long long>(CS.ProgramHits),
               static_cast<unsigned long long>(CS.ProgramMisses));
   if (!CacheFile.empty()) {

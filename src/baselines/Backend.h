@@ -60,7 +60,7 @@ struct CompileOutput {
 
 /// A compiler backend: formula + QAOA parameters in, uniform metrics out.
 /// Implementations must be safe to call concurrently from multiple
-/// threads on distinct formulas (the BatchCompiler relies on it).
+/// threads on distinct formulas (core::compileBatch relies on it).
 class Backend {
 public:
   virtual ~Backend() = default;

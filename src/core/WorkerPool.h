@@ -7,8 +7,8 @@
 /// \file
 /// A persistent fixed-size worker pool draining one bounded MPMC priority
 /// queue — the execution substrate shared by the CompileService (one task
-/// per compile job) and the BatchCompiler (one task per batch slot when a
-/// pool is injected). Higher priorities run first; equal priorities run in
+/// per compile job) and core::compileBatch (one task per batch slot on a
+/// caller-owned pool). Higher priorities run first; equal priorities run in
 /// submission order, so a FIFO workload stays a FIFO. The queue bound
 /// applies backpressure: post() blocks while the queue is full instead of
 /// letting producers grow it without limit.

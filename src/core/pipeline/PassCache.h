@@ -31,7 +31,7 @@
 ///
 /// Keys hash the full input payload and compare it exactly on lookup, so
 /// hash collisions cannot alias entries. All operations are mutex-guarded:
-/// one cache may be shared by every worker of a BatchCompiler sweep.
+/// one cache may be shared by every worker of a compileBatch sweep.
 ///
 /// The cache is also durable: saveSnapshot() serializes both tiers to a
 /// versioned, checksummed file keyed by the key payloads plus a compiler

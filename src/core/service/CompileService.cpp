@@ -50,6 +50,17 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
+/// The shared outcome every invalid handle's wait() returns.
+std::shared_ptr<const JobOutcome> invalidHandleOutcome() {
+  static const std::shared_ptr<const JobOutcome> Invalid = [] {
+    auto Out = std::make_shared<JobOutcome>();
+    Out->State = JobState::Failed;
+    Out->Diagnostic = "invalid job handle";
+    return Out;
+  }();
+  return Invalid;
+}
+
 } // namespace
 
 /// Shared state of one submitted job. State/Resolved/Outcome/Waiters/
@@ -93,40 +104,25 @@ JobState CompileService::JobHandle::state() const {
   return J->State;
 }
 
-JobOutcome CompileService::JobHandle::wait() const {
-  if (!J) {
-    JobOutcome Out;
-    Out.State = JobState::Failed;
-    Out.Diagnostic = "invalid job handle";
-    return Out;
-  }
+// The outcome is immutable once Resolved is published under the job's
+// lock, so the returned pointer is read without it.
+std::shared_ptr<const JobOutcome> CompileService::JobHandle::wait() const {
+  if (!J)
+    return invalidHandleOutcome();
   std::unique_lock<std::mutex> Lock(J->M);
   J->CV.wait(Lock, [this]() { return J->Resolved; });
-  JobOutcome Out = J->Outcome;
-  Out.Coalesced = WasCoalesced;
-  return Out;
+  return {J, &J->Outcome};
 }
 
-bool CompileService::JobHandle::waitFor(double Seconds,
-                                        JobOutcome &Out) const {
-  if (!J) {
-    Out.State = JobState::Failed;
-    Out.Diagnostic = "invalid job handle";
-    return true;
-  }
+std::shared_ptr<const JobOutcome>
+CompileService::JobHandle::waitFor(double Seconds) const {
+  if (!J)
+    return invalidHandleOutcome();
   std::unique_lock<std::mutex> Lock(J->M);
   if (!J->CV.wait_for(Lock, std::chrono::duration<double>(Seconds),
                       [this]() { return J->Resolved; }))
-    return false;
-  Out = J->Outcome;
-  Out.Coalesced = WasCoalesced;
-  return true;
-}
-
-const JobOutcome &CompileService::JobHandle::outcome() const {
-  // Immutable once resolved; the caller's happens-before edge (wait()'s
-  // lock, or the callback's hand-off) makes the unlocked read safe.
-  return J->Outcome;
+    return nullptr;
+  return {J, &J->Outcome};
 }
 
 void CompileService::JobHandle::cancel() const {

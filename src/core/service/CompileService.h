@@ -25,7 +25,7 @@
 ///    asked for cancellation.
 ///  * All Weaver jobs share one PassCache (service-owned unless an
 ///    external one is injected), so a parameter sweep submitted as jobs
-///    gets the same template reuse as a BatchCompiler sweep, and output
+///    gets the same template reuse as a compileBatch sweep, and output
 ///    stays byte-identical to direct compile() calls.
 ///
 /// Handles may outlive the job but not the service; shutdown() (or the
@@ -119,8 +119,6 @@ struct JobOutcome {
   double CompileSeconds = 0;
   /// PassCache tier that served the compile (Weaver only).
   CacheTier Tier = CacheTier::None;
-  /// This handle attached to an already in-flight identical job.
-  bool Coalesced = false;
   /// State == Cancelled because the request's deadline expired (not a
   /// client vote or shutdown).
   bool DeadlineExceeded = false;
@@ -175,16 +173,13 @@ public:
     /// Snapshot of the job's current state.
     JobState state() const;
 
-    /// Blocks until the job resolves; returns the terminal outcome.
-    JobOutcome wait() const;
-    /// Bounded wait; returns false (leaving \p Out untouched) on timeout.
-    bool waitFor(double Seconds, JobOutcome &Out) const;
-    /// The terminal outcome by reference, without wait()'s copy of its
-    /// (possibly megabytes of) wQASM text. Valid only once the job has
-    /// resolved — after wait() returned or a completion callback fired —
-    /// and only while this handle lives. Coalesced is the job's, not this
-    /// handle's.
-    const JobOutcome &outcome() const;
+    /// Blocks until the job resolves; returns its terminal outcome. Every
+    /// handle on the job gets the same object, so its (possibly megabytes
+    /// of) wQASM text is never copied; the pointer keeps the job alive
+    /// and may outlive this handle.
+    std::shared_ptr<const JobOutcome> wait() const;
+    /// Bounded wait; returns null on timeout.
+    std::shared_ptr<const JobOutcome> waitFor(double Seconds) const;
 
     /// Registers this handle's cancellation vote (idempotent per handle,
     /// shared by its copies). The job cancels once every handle attached
@@ -283,6 +278,9 @@ public:
 
   /// Jobs waiting in the pool queue right now (admission-control input).
   size_t queueDepth() const { return Pool.queueDepth(); }
+  /// The pool jobs run on; a core::compileBatch from outside its tasks
+  /// may share it, so batch and service work interleave in one queue.
+  WorkerPool &pool() { return Pool; }
 
   ServiceStats stats() const;
   /// Aggregate stats as a support/Table ("metric" / "value" rows).

@@ -6,9 +6,9 @@
 
 #include "fpqa/Analysis.h"
 
-#include "fpqa/BatchTracker.h"
-
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 using namespace weaver;
 using namespace weaver::fpqa;
@@ -16,6 +16,44 @@ using qasm::Annotation;
 using qasm::AnnotationKind;
 
 namespace {
+
+/// Groups consecutive shuttle/transfer instructions into parallel batches
+/// (Algorithm 2's parallel shuttle sets): a batch extends while
+/// instructions of the same kind touch pairwise-distinct rows/columns.
+/// Axis membership uses epoch-stamped per-axis arrays — O(1) per
+/// instruction, no per-batch tree set.
+struct BatchTracker {
+  enum class Kind { None, Shuttle, Transfer };
+
+  Kind Batch = Kind::None;
+  double MaxDistance = 0; ///< max |offset| inside the open shuttle batch
+
+  /// True when the axis already shuttled inside the open batch (which
+  /// then has to close first).
+  bool axisSeen(bool Row, int Index) { return stamps(Row, Index) == Epoch; }
+
+  void markAxis(bool Row, int Index) { stamps(Row, Index) = Epoch; }
+
+  /// Closes the open batch (the caller accounts for it first).
+  void reset() {
+    Batch = Kind::None;
+    ++Epoch;
+    MaxDistance = 0;
+  }
+
+private:
+  /// Self-sizing per-axis stamp access — no call-order contract between
+  /// axisSeen and markAxis.
+  uint64_t &stamps(bool Row, int Index) {
+    std::vector<uint64_t> &Stamps = Row ? RowStamps : ColStamps;
+    if (static_cast<size_t>(Index) >= Stamps.size())
+      Stamps.resize(Index + 1, 0);
+    return Stamps[Index];
+  }
+
+  uint64_t Epoch = 1; ///< stamps start at 0, so 1 = "not in this batch"
+  std::vector<uint64_t> RowStamps, ColStamps;
+};
 
 /// Streaming replay accumulator: feed annotations in execution order via
 /// step(), then read the totals with finish(). Works over any range —

@@ -337,10 +337,10 @@ void Server::drainCompletions() {
       ++Stats.OrphanedResults;
       continue;
     }
-    const core::JobOutcome &Outcome = Handle.outcome();
-    sendResult(*C, resultFromOutcome(Done.RequestId, Outcome),
-               Outcome.State == core::JobState::Completed
-                   ? std::string_view(Outcome.Wqasm)
+    std::shared_ptr<const core::JobOutcome> Outcome = Handle.wait();
+    sendResult(*C, resultFromOutcome(Done.RequestId, *Outcome),
+               Outcome->State == core::JobState::Completed
+                   ? std::string_view(Outcome->Wqasm)
                    : std::string_view());
   }
 }

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Brute-force MAX-SAT optimum and assignment scoring. Used by tests to
-/// validate that the QAOA cost-Hamiltonian encoding (qaoa::IsingPolynomial)
-/// reproduces the clause-counting objective, and by examples to interpret
-/// measured bitstrings (paper Fig. 1d).
+/// validate that the compiled QAOA phase separation reproduces the
+/// clause-counting objective, and by examples to interpret measured
+/// bitstrings (paper Fig. 1d).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,11 +1,11 @@
-//===- tests/backend_test.cpp - Backend interface + BatchCompiler ---------===//
+//===- tests/backend_test.cpp - Backend interface + compileBatch ----------===//
 //
 // Part of the weaver-cpp reproduction of "Weaver" (CGO 2025). MIT License.
 //
 //===----------------------------------------------------------------------===//
 
 #include "baselines/Backend.h"
-#include "core/BatchCompiler.h"
+#include "core/CompileBatch.h"
 #include "sat/Generator.h"
 
 #include <gtest/gtest.h>
@@ -98,7 +98,7 @@ TEST(Backend, WeaverBackendReportsWideClausesUnsupported) {
   EXPECT_FALSE(R.usable());
 }
 
-// --- BatchCompiler ------------------------------------------------------
+// --- compileBatch -------------------------------------------------------
 
 std::vector<CnfFormula> smallBatch(size_t N) {
   std::vector<CnfFormula> Batch;
@@ -108,29 +108,25 @@ std::vector<CnfFormula> smallBatch(size_t N) {
   return Batch;
 }
 
-TEST(BatchCompiler, EmptyBatch) {
-  WeaverBackend B;
-  EXPECT_TRUE(core::BatchCompiler(B).compileAll({}).empty());
+core::PoolOptions threads(int N) {
+  core::PoolOptions Opt;
+  Opt.NumThreads = N;
+  return Opt;
 }
 
-TEST(BatchCompiler, EffectiveThreadsNeverExceedBatchOrDropBelowOne) {
+TEST(BatchCompiler, EmptyBatch) {
   WeaverBackend B;
-  core::BatchOptions Opt;
-  Opt.NumThreads = 8;
-  core::BatchCompiler C(B, Opt);
-  EXPECT_EQ(C.effectiveThreads(3), 3);
-  EXPECT_EQ(C.effectiveThreads(100), 8);
-  EXPECT_GE(core::BatchCompiler(B).effectiveThreads(1), 1);
+  core::WorkerPool Pool(threads(2));
+  EXPECT_TRUE(core::compileBatch(B, {}, {}, Pool).empty());
 }
 
 TEST(BatchCompiler, ResultsMatchSequentialCompilationInOrder) {
   std::vector<CnfFormula> Batch = smallBatch(8);
   WeaverBackend B;
 
-  core::BatchOptions Parallel;
-  Parallel.NumThreads = 4;
+  core::WorkerPool Pool(threads(4));
   std::vector<BaselineResult> Threaded =
-      core::BatchCompiler(B, Parallel).compileAll(Batch);
+      core::compileBatch(B, Batch, {}, Pool);
 
   ASSERT_EQ(Threaded.size(), Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I) {
@@ -150,13 +146,11 @@ TEST(BatchCompiler, ResultsMatchSequentialCompilationInOrder) {
 TEST(BatchCompiler, ThreadCountDoesNotChangeResults) {
   std::vector<CnfFormula> Batch = smallBatch(6);
   WeaverBackend B;
-  core::BatchOptions One, Many;
-  One.NumThreads = 1;
-  Many.NumThreads = 3;
+  core::WorkerPool One(threads(1)), Many(threads(3));
   std::vector<BaselineResult> Sequential =
-      core::BatchCompiler(B, One).compileAll(Batch);
+      core::compileBatch(B, Batch, {}, One);
   std::vector<BaselineResult> Threaded =
-      core::BatchCompiler(B, Many).compileAll(Batch);
+      core::compileBatch(B, Batch, {}, Many);
   ASSERT_EQ(Sequential.size(), Threaded.size());
   for (size_t I = 0; I < Batch.size(); ++I) {
     EXPECT_EQ(Sequential[I].Pulses, Threaded[I].Pulses) << I;
@@ -167,10 +161,9 @@ TEST(BatchCompiler, ThreadCountDoesNotChangeResults) {
 TEST(BatchCompiler, WorksWithBaselineBackends) {
   std::vector<CnfFormula> Batch = smallBatch(3);
   AtomiqueBackend B;
-  core::BatchOptions Opt;
-  Opt.NumThreads = 2;
+  core::WorkerPool Pool(threads(2));
   std::vector<BaselineResult> Results =
-      core::BatchCompiler(B, Opt).compileAll(Batch);
+      core::compileBatch(B, Batch, {}, Pool);
   ASSERT_EQ(Results.size(), Batch.size());
   for (const BaselineResult &R : Results) {
     EXPECT_EQ(R.Compiler, "atomique");

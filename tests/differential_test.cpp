@@ -9,14 +9,14 @@
 /// structurally valid result (sane qubit/gate/pulse counts, fidelity in
 /// (0, 1], non-empty program where the backend emits one), and the Weaver
 /// path must produce byte-identical wQASM whether it is driven directly,
-/// through the BatchCompiler, or through the CompileService — with the
+/// through compileBatch, or through the CompileService — with the
 /// PassCache on and off. Mismatching programs are dumped into the
 /// per-test scratch directory (tests/TestPaths.h) for diffing.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestPaths.h"
-#include "core/BatchCompiler.h"
+#include "core/CompileBatch.h"
 #include "core/WeaverCompiler.h"
 #include "core/service/CompileService.h"
 #include "oq2/Export.h"
@@ -179,13 +179,13 @@ TEST(Differential, ServiceWqasmByteIdenticalToDirectCacheOnAndOff) {
         Handles.push_back(Service.submit(R));
       }
       for (size_t I = 0; I < Handles.size(); ++I) {
-        JobOutcome Out;
-        ASSERT_TRUE(Handles[I].waitFor(120.0, Out));
-        ASSERT_EQ(Out.State, JobState::Completed) << Out.Diagnostic;
-        if (Out.Wqasm != Reference[Round][I]) {
+        std::shared_ptr<const JobOutcome> Out = Handles[I].waitFor(120.0);
+        ASSERT_TRUE(Out);
+        ASSERT_EQ(Out->State, JobState::Completed) << Out->Diagnostic;
+        if (Out->Wqasm != Reference[Round][I]) {
           std::string Dir = dumpMismatch(
               "grid" + std::to_string(I) + "_round" + std::to_string(Round),
-              Out.Wqasm, Reference[Round][I]);
+              Out->Wqasm, Reference[Round][I]);
           FAIL() << "service output differs from direct compile for grid "
                  << I << " round " << Round << "; programs dumped to "
                  << Dir;
@@ -206,8 +206,11 @@ TEST(Differential, ServiceWqasmByteIdenticalToDirectCacheOnAndOff) {
 TEST(Differential, BatchCompilerMatchesServiceMetrics) {
   std::vector<sat::CnfFormula> Grid = satlibGrid();
   baselines::WeaverBackend Backend;
+  PoolOptions PoolOpt;
+  PoolOpt.NumThreads = 2;
+  WorkerPool Pool(PoolOpt);
   std::vector<baselines::BaselineResult> Batch =
-      BatchCompiler(Backend).compileAll(Grid);
+      compileBatch(Backend, Grid, {}, Pool);
 
   ServiceOptions Opt;
   Opt.NumThreads = 2;
@@ -219,15 +222,15 @@ TEST(Differential, BatchCompilerMatchesServiceMetrics) {
     Handles.push_back(Service.submit(R));
   }
   for (size_t I = 0; I < Grid.size(); ++I) {
-    JobOutcome Out;
-    ASSERT_TRUE(Handles[I].waitFor(120.0, Out));
-    ASSERT_EQ(Out.State, JobState::Completed);
-    EXPECT_EQ(Out.Metrics.Pulses, Batch[I].Pulses) << I;
-    EXPECT_EQ(Out.Metrics.TwoQubitGates, Batch[I].TwoQubitGates) << I;
-    EXPECT_EQ(Out.Metrics.ThreeQubitGates, Batch[I].ThreeQubitGates) << I;
-    EXPECT_EQ(Out.Metrics.ExecutionSeconds, Batch[I].ExecutionSeconds) << I;
-    EXPECT_EQ(Out.Metrics.Eps, Batch[I].Eps) << I;
-    EXPECT_EQ(Out.Metrics.Colors, Batch[I].Colors) << I;
+    std::shared_ptr<const JobOutcome> Out = Handles[I].waitFor(120.0);
+    ASSERT_TRUE(Out);
+    ASSERT_EQ(Out->State, JobState::Completed);
+    EXPECT_EQ(Out->Metrics.Pulses, Batch[I].Pulses) << I;
+    EXPECT_EQ(Out->Metrics.TwoQubitGates, Batch[I].TwoQubitGates) << I;
+    EXPECT_EQ(Out->Metrics.ThreeQubitGates, Batch[I].ThreeQubitGates) << I;
+    EXPECT_EQ(Out->Metrics.ExecutionSeconds, Batch[I].ExecutionSeconds) << I;
+    EXPECT_EQ(Out->Metrics.Eps, Batch[I].Eps) << I;
+    EXPECT_EQ(Out->Metrics.Colors, Batch[I].Colors) << I;
   }
 }
 

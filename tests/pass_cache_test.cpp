@@ -7,7 +7,7 @@
 /// The PassCache contract: compilations through a cache are byte-identical
 /// to uncached compilations for every parameter point, hits and misses are
 /// accounted per tier, any input change invalidates the affected tiers,
-/// and one cache may be shared by every worker of a BatchCompiler batch
+/// and one cache may be shared by every worker of a compileBatch batch
 /// without changing any result.
 ///
 //===----------------------------------------------------------------------===//
@@ -15,7 +15,7 @@
 #include "TestPaths.h"
 
 #include "baselines/Backend.h"
-#include "core/BatchCompiler.h"
+#include "core/CompileBatch.h"
 #include "core/WeaverCompiler.h"
 #include "core/pipeline/PassCache.h"
 #include "core/pipeline/PassManager.h"
@@ -227,7 +227,7 @@ TEST(PassCache, CapFlushesInsteadOfGrowingUnbounded) {
   EXPECT_EQ(Cache.size(), 0u);
 }
 
-// --- Sharing across BatchCompiler workers --------------------------------
+// --- Sharing across compileBatch workers ---------------------------------
 
 TEST(PassCache, BatchCompilerWorkersShareOneCache) {
   // A sweep-style batch: few distinct formulas, each repeated.
@@ -236,18 +236,19 @@ TEST(PassCache, BatchCompilerWorkersShareOneCache) {
     for (uint64_t Seed : {11u, 12u, 13u})
       Batch.push_back(testFormula(Seed));
 
-  BatchOptions BOpt;
-  BOpt.NumThreads = 4;
+  PoolOptions PoolOpt;
+  PoolOpt.NumThreads = 4;
+  WorkerPool Pool(PoolOpt);
   baselines::WeaverBackend Plain;
   std::vector<baselines::BaselineResult> Reference =
-      BatchCompiler(Plain, BOpt).compileAll(Batch);
+      compileBatch(Plain, Batch, {}, Pool);
 
   PassCache Cache;
   WeaverOptions WOpt;
   WOpt.Cache = &Cache;
   baselines::WeaverBackend CachedBackend(WOpt);
   std::vector<baselines::BaselineResult> Cached =
-      BatchCompiler(CachedBackend, BOpt).compileAll(Batch);
+      compileBatch(CachedBackend, Batch, {}, Pool);
 
   ASSERT_EQ(Reference.size(), Cached.size());
   for (size_t I = 0; I < Reference.size(); ++I) {
@@ -264,11 +265,11 @@ TEST(PassCache, BatchCompilerWorkersShareOneCache) {
   // insert lands, so the exact hit count is scheduler-dependent)...
   PassCache::CacheStats S = Cache.stats();
   EXPECT_EQ(S.ProgramHits + S.ProgramMisses, Batch.size());
-  EXPECT_LE(S.ProgramMisses, static_cast<uint64_t>(3 * BOpt.NumThreads));
+  EXPECT_LE(S.ProgramMisses, static_cast<uint64_t>(3 * Pool.numThreads()));
   // ...and once the entries exist, a second pass is deterministically
   // pure hits.
   std::vector<baselines::BaselineResult> Second =
-      BatchCompiler(CachedBackend, BOpt).compileAll(Batch);
+      compileBatch(CachedBackend, Batch, {}, Pool);
   ASSERT_EQ(Second.size(), Cached.size());
   PassCache::CacheStats S2 = Cache.stats();
   EXPECT_EQ(S2.ProgramMisses, S.ProgramMisses);

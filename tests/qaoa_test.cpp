@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "qaoa/Builder.h"
-#include "qaoa/IsingPolynomial.h"
 #include "qaoa/Optimizer.h"
 #include "sat/Evaluator.h"
 #include "sat/Generator.h"
@@ -62,58 +61,6 @@ Circuit phaseOnlyCircuit(const CnfFormula &F, double Gamma, bool Compressed) {
 }
 
 } // namespace
-
-// --- IsingPolynomial ---------------------------------------------------------
-
-TEST(IsingPolynomial, AddAndQueryTerms) {
-  IsingPolynomial P;
-  P.addTerm({2, 0}, 0.5);
-  P.addTerm({0, 2}, 0.25); // same term, unsorted
-  EXPECT_DOUBLE_EQ(P.coefficient({0, 2}), 0.75);
-  EXPECT_DOUBLE_EQ(P.coefficient({1}), 0.0);
-}
-
-TEST(IsingPolynomial, EvaluateSigns) {
-  IsingPolynomial P;
-  P.addTerm({0}, 1.0);
-  EXPECT_DOUBLE_EQ(P.evaluate(0b0), 1.0);  // Z|0> = +1
-  EXPECT_DOUBLE_EQ(P.evaluate(0b1), -1.0); // Z|1> = -1
-  P.addTerm({0, 1}, 2.0);
-  EXPECT_DOUBLE_EQ(P.evaluate(0b11), -1.0 + 2.0);
-}
-
-TEST(IsingPolynomial, AllNegativeClauseExpansion) {
-  // (!x1 | !x2 | !x3): unsat = x1 x2 x3 =
-  // 1/8 (1 - Z1 - Z2 - Z3 + pairs - Z1Z2Z3).
-  IsingPolynomial P = IsingPolynomial::clauseUnsat(Clause{-1, -2, -3});
-  EXPECT_DOUBLE_EQ(P.coefficient({}), 0.125);
-  EXPECT_DOUBLE_EQ(P.coefficient({0}), -0.125);
-  EXPECT_DOUBLE_EQ(P.coefficient({0, 1}), 0.125);
-  EXPECT_DOUBLE_EQ(P.coefficient({0, 1, 2}), -0.125);
-}
-
-TEST(IsingPolynomial, PositiveLiteralFlipsSign) {
-  IsingPolynomial P = IsingPolynomial::clauseUnsat(Clause{1, -2, -3});
-  EXPECT_DOUBLE_EQ(P.coefficient({0}), 0.125);
-  EXPECT_DOUBLE_EQ(P.coefficient({1}), -0.125);
-  EXPECT_DOUBLE_EQ(P.coefficient({0, 1, 2}), 0.125);
-}
-
-class UnsatPolynomialProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(UnsatPolynomialProperty, MatchesClauseCounting) {
-  CnfFormula F = sat::RandomSatGenerator(GetParam()).generate(7, 20);
-  IsingPolynomial P = IsingPolynomial::unsatCount(F);
-  for (uint64_t Bits = 0; Bits < (1u << 7); ++Bits) {
-    size_t Unsat =
-        F.numClauses() - F.countSatisfied(sat::assignmentFromBits(Bits, 7));
-    EXPECT_NEAR(P.evaluate(Bits), static_cast<double>(Unsat), 1e-9)
-        << "bits " << Bits;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, UnsatPolynomialProperty,
-                         ::testing::Values(1, 2, 3, 4, 5));
 
 // --- Clause fragments -------------------------------------------------------
 

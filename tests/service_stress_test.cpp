@@ -109,9 +109,10 @@ TEST(ServiceStress, EveryJobResolvesExactlyOnceUnderContention) {
   // Bounded waits: a deadlock fails the test instead of hanging ctest.
   size_t Completed = 0, Cancelled = 0;
   for (int Slot = 0; Slot < TotalJobs; ++Slot) {
-    JobOutcome Out;
-    ASSERT_TRUE(Handles[Slot].waitFor(WaitSeconds, Out))
-        << "job in slot " << Slot << " never resolved";
+    std::shared_ptr<const JobOutcome> Resolved =
+        Handles[Slot].waitFor(WaitSeconds);
+    ASSERT_TRUE(Resolved) << "job in slot " << Slot << " never resolved";
+    const JobOutcome &Out = *Resolved;
     ASSERT_TRUE(Out.State == JobState::Completed ||
                 Out.State == JobState::Cancelled)
         << "slot " << Slot << ": " << jobStateName(Out.State);
@@ -175,8 +176,9 @@ TEST(ServiceStress, ShutdownCancelUnderLoadResolvesEverything) {
 
   size_t Cancelled = 0;
   for (CompileService::JobHandle &H : Handles) {
-    JobOutcome Out;
-    ASSERT_TRUE(H.waitFor(WaitSeconds, Out));
+    std::shared_ptr<const JobOutcome> Resolved = H.waitFor(WaitSeconds);
+    ASSERT_TRUE(Resolved);
+    const JobOutcome &Out = *Resolved;
     ASSERT_TRUE(Out.State == JobState::Completed ||
                 Out.State == JobState::Cancelled);
     Cancelled += Out.State == JobState::Cancelled;

@@ -15,7 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/BatchCompiler.h"
+#include "core/CompileBatch.h"
 #include "core/WorkerPool.h"
 #include "core/service/CompileService.h"
 #include "qasm/Printer.h"
@@ -53,9 +53,9 @@ CompileRequest weaverJob(int Vars, int Index, int Priority = 0) {
 }
 
 JobOutcome waitOrDie(const CompileService::JobHandle &H) {
-  JobOutcome Out;
-  EXPECT_TRUE(H.waitFor(WaitSeconds, Out)) << "job did not resolve";
-  return Out;
+  std::shared_ptr<const JobOutcome> Out = H.waitFor(WaitSeconds);
+  EXPECT_TRUE(Out) << "job did not resolve";
+  return Out ? *Out : JobOutcome();
 }
 
 /// A single-worker service whose worker is pinned on a long job, so
@@ -166,23 +166,35 @@ TEST(WorkerPool, BatchCompilerSharesAnInjectedPool) {
     Batch.push_back(uf(20, I));
 
   baselines::WeaverBackend Backend;
-  std::vector<baselines::BaselineResult> Direct =
-      BatchCompiler(Backend).compileAll(Batch);
+  std::vector<baselines::BaselineResult> Direct;
+  for (const sat::CnfFormula &F : Batch)
+    Direct.push_back(Backend.compile(F, {}).Metrics);
 
-  PoolOptions PoolOpt;
-  PoolOpt.NumThreads = 2;
-  WorkerPool Pool(PoolOpt);
-  BatchOptions BOpt;
-  BOpt.Pool = &Pool;
-  BatchCompiler Shared(Backend, BOpt);
-  EXPECT_EQ(Shared.effectiveThreads(Batch.size()), 2);
-  std::vector<baselines::BaselineResult> Pooled = Shared.compileAll(Batch);
+  // Batch slots and service jobs interleave on the service's own pool.
+  ServiceOptions Opt;
+  Opt.NumThreads = 2;
+  CompileService Service(Opt);
+  std::vector<CompileService::JobHandle> Jobs;
+  for (int I = 1; I <= 3; ++I)
+    Jobs.push_back(Service.submit(weaverJob(20, I)));
+  std::vector<baselines::BaselineResult> Pooled =
+      compileBatch(Backend, Batch, {}, Service.pool());
+  for (const CompileService::JobHandle &H : Jobs)
+    EXPECT_EQ(waitOrDie(H).State, JobState::Completed);
 
-  ASSERT_EQ(Pooled.size(), Direct.size());
-  for (size_t I = 0; I < Direct.size(); ++I) {
-    EXPECT_EQ(Pooled[I].Pulses, Direct[I].Pulses) << I;
-    EXPECT_EQ(Pooled[I].ExecutionSeconds, Direct[I].ExecutionSeconds) << I;
-    EXPECT_EQ(Pooled[I].Eps, Direct[I].Eps) << I;
+  // Once the pool refuses tasks, every slot is compiled inline.
+  Service.shutdown();
+  std::vector<baselines::BaselineResult> Inline =
+      compileBatch(Backend, Batch, {}, Service.pool());
+
+  for (const auto *Results : {&Pooled, &Inline}) {
+    ASSERT_EQ(Results->size(), Direct.size());
+    for (size_t I = 0; I < Direct.size(); ++I) {
+      EXPECT_EQ((*Results)[I].Pulses, Direct[I].Pulses) << I;
+      EXPECT_EQ((*Results)[I].ExecutionSeconds, Direct[I].ExecutionSeconds)
+          << I;
+      EXPECT_EQ((*Results)[I].Eps, Direct[I].Eps) << I;
+    }
   }
 }
 
@@ -348,8 +360,8 @@ TEST(CompileService, IdenticalInFlightRequestsCoalesce) {
   EXPECT_EQ(A.State, JobState::Completed);
   EXPECT_EQ(B.State, JobState::Completed);
   EXPECT_EQ(A.Wqasm, B.Wqasm);
-  EXPECT_FALSE(A.Coalesced);
-  EXPECT_TRUE(B.Coalesced);
+  EXPECT_FALSE(First.coalesced());
+  EXPECT_TRUE(Second.coalesced());
   EXPECT_EQ(waitOrDie(Different).State, JobState::Completed);
 
   Service.finishBlocker();
@@ -357,6 +369,33 @@ TEST(CompileService, IdenticalInFlightRequestsCoalesce) {
   EXPECT_EQ(S.Coalesced, 1u);
   // blocker + uf20-6 (once) + uf20-7: the coalesced submit never compiled.
   EXPECT_EQ(S.CompilesStarted, 3u);
+}
+
+TEST(CompileService, CoalescedHandlesShareOneOutcome) {
+  BlockedService Service;
+  CompileService::JobHandle First = Service->submit(weaverJob(20, 12));
+  CompileService::JobHandle Second = Service->submit(weaverJob(20, 12));
+  ASSERT_TRUE(Second.coalesced());
+
+  std::shared_ptr<const JobOutcome> A = First.waitFor(WaitSeconds);
+  std::shared_ptr<const JobOutcome> B = Second.waitFor(WaitSeconds);
+  ASSERT_TRUE(A && B) << "job did not resolve";
+  EXPECT_EQ(A.get(), B.get()); // one object: no per-waiter text copy
+  EXPECT_EQ(First.wait().get(), A.get());
+  EXPECT_EQ(A->State, JobState::Completed);
+  EXPECT_FALSE(A->Wqasm.empty());
+
+  // The outcome outlives every handle on its job.
+  std::shared_ptr<const JobOutcome> Kept =
+      Service->submit(weaverJob(20, 13)).waitFor(WaitSeconds);
+  ASSERT_TRUE(Kept) << "job did not resolve";
+  EXPECT_EQ(Kept->State, JobState::Completed);
+  EXPECT_FALSE(Kept->Wqasm.empty());
+
+  // Invalid handles share one Failed outcome.
+  CompileService::JobHandle Invalid;
+  EXPECT_EQ(Invalid.wait()->State, JobState::Failed);
+  EXPECT_EQ(Invalid.wait().get(), Invalid.waitFor(0).get());
 }
 
 TEST(CompileService, DifferentAnglesDoNotCoalesce) {

@@ -265,13 +265,13 @@ int runCrash(uint64_t Seed, const std::vector<Point> &W,
   int Crashed = 0;
   std::vector<size_t> Retry;
   for (size_t I = 0; I < W.size(); ++I) {
-    core::JobOutcome Out = Service.submit(requestFor(W[I])).wait();
-    if (Out.State == core::JobState::Completed) {
-      check(Out.Wqasm == Baseline[I],
+    auto Out = Service.submit(requestFor(W[I])).wait();
+    if (Out->State == core::JobState::Completed) {
+      check(Out->Wqasm == Baseline[I],
             "completed job byte-identical under crash injection");
     } else {
-      check(Out.State == core::JobState::Failed &&
-                Out.Diagnostic == "worker crashed (injected fault)",
+      check(Out->State == core::JobState::Failed &&
+                Out->Diagnostic == "worker crashed (injected fault)",
             "non-completed job carries the injected-crash diagnostic");
       ++Crashed;
       Retry.push_back(I);
@@ -280,9 +280,9 @@ int runCrash(uint64_t Seed, const std::vector<Point> &W,
 
   fault::resetGlobal();
   for (size_t I : Retry) {
-    core::JobOutcome Out = Service.submit(requestFor(W[I])).wait();
-    check(Out.State == core::JobState::Completed &&
-              Out.Wqasm == Baseline[I],
+    auto Out = Service.submit(requestFor(W[I])).wait();
+    check(Out->State == core::JobState::Completed &&
+              Out->Wqasm == Baseline[I],
           "crashed job retries to a byte-identical completion");
   }
 
@@ -326,13 +326,13 @@ int runHang(uint64_t Seed, const std::vector<Point> &W,
   int TimedOut = 0;
   std::vector<size_t> Retry;
   for (size_t I = 0; I < W.size(); ++I) {
-    core::JobOutcome Out = Service.submit(requestFor(W[I])).wait();
-    if (Out.State == core::JobState::Completed) {
-      check(Out.Wqasm == Baseline[I],
+    auto Out = Service.submit(requestFor(W[I])).wait();
+    if (Out->State == core::JobState::Completed) {
+      check(Out->Wqasm == Baseline[I],
             "completed job byte-identical under hang injection");
     } else {
-      check(Out.State == core::JobState::Failed && Out.WatchdogTimedOut &&
-                startsWith(Out.Diagnostic, "watchdog:"),
+      check(Out->State == core::JobState::Failed && Out->WatchdogTimedOut &&
+                startsWith(Out->Diagnostic, "watchdog:"),
             "hung job resolved Failed by the watchdog");
       ++TimedOut;
       Retry.push_back(I);
@@ -343,9 +343,9 @@ int runHang(uint64_t Seed, const std::vector<Point> &W,
   // service completes every previously hung job byte-identically.
   fault::resetGlobal();
   for (size_t I : Retry) {
-    core::JobOutcome Out = Service.submit(requestFor(W[I])).wait();
-    check(Out.State == core::JobState::Completed &&
-              Out.Wqasm == Baseline[I],
+    auto Out = Service.submit(requestFor(W[I])).wait();
+    check(Out->State == core::JobState::Completed &&
+              Out->Wqasm == Baseline[I],
           "hung job retries to a byte-identical completion");
   }
 

@@ -49,7 +49,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/Backend.h"
-#include "core/BatchCompiler.h"
+#include "core/CompileBatch.h"
 #include "core/WeaverCompiler.h"
 #include "core/pipeline/PassCache.h"
 #include "sat/Generator.h"
@@ -108,12 +108,14 @@ struct Row {
 /// pipeline at every (gamma, beta) point, all compiles sharing \p Cache
 /// (may be null for a cold, cache-less run). Returns one row per size.
 /// The aggregation mirrors examples/satlib_sweep so the numbers line up
-/// across the demos.
+/// across the demos. The worker threads live only inside this call, so
+/// the driver never forks while they run.
 bool computeRows(const Config &C, const std::vector<size_t> &SizeIdx,
                  core::pipeline::PassCache *Cache, std::vector<Row> &Rows) {
   core::WeaverOptions WOpt;
   WOpt.Cache = Cache;
   baselines::WeaverBackend Backend(WOpt);
+  core::WorkerPool Pool;
 
   for (size_t S : SizeIdx) {
     int N = sat::SatlibSizes[S];
@@ -131,10 +133,10 @@ bool computeRows(const Config &C, const std::vector<size_t> &SizeIdx,
 
     std::vector<baselines::BaselineResult> Last;
     for (int P = 0; P < C.Points; ++P) {
-      core::BatchOptions BOpt;
-      BOpt.Qaoa.Gamma = 0.30 + 0.10 * P;
-      BOpt.Qaoa.Beta = 0.20 + 0.05 * P;
-      Last = core::BatchCompiler(Backend, BOpt).compileAll(Batch);
+      qaoa::QaoaParams Qaoa;
+      Qaoa.Gamma = 0.30 + 0.10 * P;
+      Qaoa.Beta = 0.20 + 0.05 * P;
+      Last = core::compileBatch(Backend, Batch, Qaoa, Pool);
     }
 
     double Exec = 0, EpsLog = 0;
